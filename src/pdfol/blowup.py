@@ -27,7 +27,7 @@ from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .rings import (ComplexApprox, ParamPolyRing, RationalExact, rational,
                     rational_sqrt)
-from .series import Series1, Series2
+from .series import INF, Series1, Series2
 
 
 def _remap(series: Series2, image, variables, order) -> Series2:
@@ -58,9 +58,19 @@ class BlowupResult:
         return self.form if self.divisor_index == 0 else self.form.swapped()
 
 
+def _divisor_power(a_new, b_new, axis, chart) -> int:
+    """The largest power of the divisor variable dividing both
+    coefficients; PrecisionError when the form vanishes to its order."""
+    k = min(a_new.min_exponent(axis), b_new.min_exponent(axis))
+    if k == INF:
+        raise PrecisionError("%s: the pulled-back form vanishes to order %d"
+                             % (chart, a_new.order))
+    return k
+
+
 def _finish(nu, a_new, b_new, chart, divisor_index):
     axis = divisor_index
-    k = int(min(a_new.min_exponent(axis), b_new.min_exponent(axis)))
+    k = _divisor_power(a_new, b_new, axis, chart)
     delta = (k, 0) if axis == 0 else (0, k)
     a_new = a_new.divide_monomial(delta)
     b_new = b_new.divide_monomial(delta)
@@ -127,7 +137,7 @@ def macro_chart1(omega: OneForm2, p: int, zname: str = "z"):
                 variables, order)
     a_new = a_part + zb
     b_new = xb
-    k = int(min(a_new.min_exponent(0), b_new.min_exponent(0)))
+    k = _divisor_power(a_new, b_new, 0, "one-shot chart1 of %d blow-ups" % p)
     a_new = a_new.divide_monomial((k, 0))
     b_new = b_new.divide_monomial((k, 0))
     return OneForm2(a_new, b_new), k
@@ -304,6 +314,13 @@ class ReductionPath:
         return ["D%d" % (i + 1) for i in range(len(self.steps))]
 
 
+def _at_step(i, chart, *args) -> BlowupResult:
+    try:
+        return chart(*args)
+    except PrecisionError as exc:
+        raise PrecisionError("blow-up %d, %s" % (i, exc)) from exc
+
+
 def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
     """Blow up p times, following the singular point at the chart-1 origin.
 
@@ -322,7 +339,7 @@ def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
     current = omega
     previous = None
     for i in range(1, p + 1):
-        res = blowup_chart1(current, zname)
+        res = _at_step(i, blowup_chart1, current, zname)
         if res.dicritical:
             raise MathError("dicritical component at blow-up %d; "
                             "the chain does not continue" % i)
@@ -343,7 +360,7 @@ def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
                             "substitution; internal error")
     else:
         total = sum(s.k_divided for s in steps)
-    last_chart2 = blowup_chart2(previous)
+    last_chart2 = _at_step(p, blowup_chart2, previous)
     return ReductionPath(original=omega, steps=steps, last_chart2=last_chart2,
                          self_intersections=[-2] * (p - 1) + [-1],
                          total_divided=total)

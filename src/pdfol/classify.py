@@ -225,8 +225,8 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
                      N: int) -> DichotomyResult:
     """Decide dicritical vs Poincare-Dulac at a candidate point.
 
-    homological: conjugate the dual field to x dx + (mz + eps*x^m) dz
-    degree by degree and test eps.  chain: blow up m - 1 more times,
+    homological: solve the conjugacy equation that carries the dual field
+    to x dx + (mz + eps*x^m) dz and test eps.  chain: blow up m - 1 more times,
     recentering at the unique smooth-divisor singular point after each,
     and read the Jordan off-diagonal entry of the final linear part.
     """

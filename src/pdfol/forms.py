@@ -225,12 +225,6 @@ def format_ratio(r):
         return [float(mpmath.mpc(r).real), float(mpmath.mpc(r).imag)]
 
 
-def _rational_of_eigen(value, ring):
-    """Exact rational content of an eigenvalue, or a float approximation."""
-    q = ring.as_rational(value) if not isinstance(value, (mpmath.mpc, mpmath.mpf)) else None
-    return q
-
-
 def classify_singularity(L: Matrix2, ring) -> SingularityType:
     """Tag a 2x2 linear part; total on matrices.
 

@@ -35,7 +35,7 @@ try:
             return _mpq(num)
         return _mpq(num, den)
 
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional ``fast`` extra
     from fractions import Fraction as _Fraction
 
     def rational(num=0, den=None):

@@ -375,13 +375,6 @@ class Series2:
         return Series1._raw(self.ring, self.variables[1], self.order, acc,
                             self.truncated)
 
-    def rename(self, variables) -> "Series2":
-        variables = tuple(variables)
-        if len(variables) != 2 or variables[0] == variables[1]:
-            raise ValueError("need two distinct variable names")
-        return Series2._raw(self.ring, variables, self.order, dict(self.coeffs),
-                            self.truncated)
-
     def swap_variables(self) -> "Series2":
         acc = {(j, i): c for (i, j), c in self.coeffs.items()}
         return Series2._raw(self.ring, (self.variables[1], self.variables[0]),

@@ -231,6 +231,18 @@ def test_cli_exit_codes_cover_error_classes():
     assert code == 4 and "error[precision]" in err
 
 
+def test_cli_chart_form_zero_to_order_exits_4():
+    # the chart-2 form of the fourth blow-up vanishes to its truncation
+    # order, so no divisor power can be divided out
+    code, out, err = run(["report", "--json", "--mode", "exact",
+                          "--order", "8", "--expr",
+                          "d(y^2+x^8) + -13/3*x^4*(1+x-2*x^2+1/3*x^3"
+                          "-3/2*x^4)*dy"])
+    assert code == 4 and out == ""
+    assert "error[precision]" in err
+    assert "blow-up 4, chart2" in err and "order" in err
+
+
 def test_cli_requires_expression():
     code, _, err = run(["classify"])
     assert code == 2
