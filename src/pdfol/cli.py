@@ -357,12 +357,13 @@ def _report_document(args, text):
 
 
 def _cmd_report(args, out):
-    docs = [_report_document(args, text) for _, text in _inputs(args)]
+    inputs = _inputs(args)
+    docs = [_report_document(args, text) for _, text in inputs]
     if args.json:
         payload = docs[0] if len(docs) == 1 else docs
         out.write(render(payload) + "\n")
         return 0
-    for (label, _), doc in zip(_inputs(args), docs):
+    for (label, _), doc in zip(inputs, docs):
         if label is not None:
             out.write("== %s ==\n" % label)
         canonical = doc["canonical"]

@@ -312,6 +312,10 @@ def cs_index(field: PlaneVectorField, z0):
     (v2 - z0)^s u(v2), u(z0) != 0.  Simple zeros (s = 1) cover every
     point the reduction pipeline produces; higher s costs nothing with
     the same unit division, so it is not rejected.
+
+    That coefficient reads only the degrees below s of ptilde(0, .) and
+    of u, so both are truncated to order s - 1 before u is inverted;
+    the translation to z0 and the valuation test run on the full data.
     """
     ring = field.ring
     px, q = field.p1, field.p2
@@ -333,7 +337,7 @@ def cs_index(field: PlaneVectorField, z0):
     if s is math.inf or s < 1:
         raise MathError("the point is not singular on the divisor")
     unit = q0.divide_monomial(s)
-    ratio = ptilde0 * unit.inverse_unit()
+    ratio = ptilde0.truncate(s - 1) * unit.truncate(s - 1).inverse_unit()
     return ratio.coefficient(s - 1)
 
 

@@ -29,7 +29,7 @@ import mpmath
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .rings import rational
-from .series import Series2
+from .series import INF, Series2
 
 
 @dataclass(frozen=True)
@@ -173,23 +173,9 @@ def apply_fibered(m: int, a: Series2, phi: Series2, order: int) -> Series2:
     return xphix_at + (one + phiz_at) * flow - z.scale(ring.coerce(m))
 
 
-def _max_abs(series: Series2) -> float:
-    return max((abs(mpmath.mpc(c)) for c in series.coeffs.values()),
-               default=0.0)
-
-
-def _floor_small(series: Series2, scale) -> Series2:
-    """Drop coefficients below tol*scale in approximate rings.
-
-    The conjugation residual is a sum of products of tail and transform
-    coefficients, so roundoff there is proportional to the square of the
-    largest operand, not to 1; exact rings pass through untouched."""
-    tol = getattr(series.ring, "tol", None)
-    if tol is None or not series.coeffs:
-        return series
-    bound = tol * max(1.0, scale)
-    acc = {key: c for key, c in series.coeffs.items()
-           if abs(mpmath.mpc(c)) > bound}
+def _magnitudes(series: Series2) -> Series2:
+    """The series of the absolute values of the coefficients."""
+    acc = {key: mpmath.mpc(abs(c)) for key, c in series.coeffs.items()}
     return Series2._raw(series.ring, series.variables, series.order, acc,
                         series.truncated)
 
@@ -268,10 +254,18 @@ def verify_conjugation(X: FiberedField, transform: Series2, m: int, epsilon,
     model = Series2.monomial(ring, variables, N, (m, 0), epsilon)
     residual = (_x_dx(phi, N) + (one + _dz(phi, N)) * (mz + a)
                 - mz - phi.scale(ring.coerce(m)) - model)
-    scale = 1.0
-    if getattr(ring, "tol", None) is not None:
-        scale = max(1.0, _max_abs(a), _max_abs(phi)) ** 2
-    return _floor_small(residual, scale).valuation()
+    tol = getattr(ring, "tol", None)
+    if tol is None:
+        return residual.valuation()
+    # Float roundoff in a residual coefficient is relative to the same
+    # expression taken over absolute values, coefficient by coefficient:
+    # a coefficient within tol of that bound counts as zero.
+    a_abs, phi_abs = _magnitudes(a), _magnitudes(phi)
+    bound = (_x_dx(phi_abs, N) + (one + _dz(phi_abs, N)) * (mz + a_abs)
+             + mz + phi_abs.scale(ring.coerce(m)) + _magnitudes(model))
+    return min((i + j for (i, j), c in residual.coeffs.items()
+                if abs(c) > tol * max(1.0, abs(bound.coefficient(i, j)))),
+               default=INF)
 
 
 def bound_bruteforce(m: int, R: int):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 
 import mpmath
+from mpmath.libmp import (fone, from_float, mpc_abs, mpf_le, mpf_mul,
+                          round_nearest)
 
 from .errors import MathError, NotInvertibleError
 
@@ -321,6 +323,7 @@ class ComplexApprox(CoefficientRing):
             raise MathError("ComplexApprox needs at least 53 mantissa bits")
         self.precision = int(precision)
         self.tol = float(tol)
+        self._tol = from_float(self.tol)
         with mpmath.workprec(self.precision):
             self.zero = mpmath.mpc(0)
             self.one = mpmath.mpc(1)
@@ -353,7 +356,14 @@ class ComplexApprox(CoefficientRing):
         return -a
 
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
+        """``eq(a, zero)``: |a| <= tol * max(1, |a|), with |a| and the
+        product rounded to ``precision`` bits as there, computed on the
+        raw mpmath tuples with no subtraction or precision context."""
+        size = mpc_abs(a._mpc_, self.precision, round_nearest)
+        if mpf_le(size, fone):
+            return mpf_le(size, self._tol)
+        return mpf_le(size, mpf_mul(self._tol, size, self.precision,
+                                    round_nearest))
 
     def eq(self, a, b) -> bool:
         with mpmath.workprec(self.precision):

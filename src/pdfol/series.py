@@ -272,27 +272,39 @@ class Series2:
         return Series2._raw(ring, self.variables, order, acc, self.truncated)
 
     def inverse_unit(self) -> "Series2":
-        """Multiplicative inverse of a unit (invertible constant term)."""
+        """Multiplicative inverse of a unit (invertible constant term).
+
+        One pass over degrees: v_00 = 1/u_00 and, for each monomial of
+        degree d, v_ij = -v_00 * sum of u_ab * v_(i-a)(j-b) over the
+        nonconstant terms of u."""
         ring = self.ring
-        c0 = self.coefficient(0, 0)
-        inv0 = ring.invert(c0)  # raises NotInvertibleError on non-units
-        tail = self - Series2.constant(ring, self.variables, self.order, c0)
-        if tail.is_zero():
-            acc = {(0, 0): inv0}
-            return Series2._raw(ring, self.variables, self.order, acc,
+        inv0 = ring.invert(self.coefficient(0, 0))  # raises on non-units
+        tail = sorted((key, c) for key, c in self.coeffs.items() if key != (0, 0))
+        if not tail:
+            return Series2._raw(ring, self.variables, self.order, {(0, 0): inv0},
                                 self.truncated)
-        # 1/u = inv0 * sum_k (-inv0*tail)^k; the geometric tail is infinite,
-        # so the result is genuinely truncated.
-        step = tail.scale(ring.neg(inv0))
-        term = Series2.constant(ring, self.variables, self.order, 1)
-        total = term
-        k = 0
-        while not term.is_zero() and k <= self.order:
-            term = term * step
-            total = total + term
-            k += 1
-        return Series2._raw(ring, self.variables, self.order,
-                            total.scale(inv0).coeffs, True)
+        neg0 = ring.neg(inv0)
+        inv = {(0, 0): inv0}
+        for d in range(1, self.order + 1):
+            for i in range(d, -1, -1):
+                j = d - i
+                acc = None
+                for (a, b), c in tail:
+                    if a > i:
+                        break
+                    if b > j:
+                        continue
+                    v = inv.get((i - a, j - b))
+                    if v is None:
+                        continue
+                    term = ring.mul(c, v)
+                    acc = term if acc is None else ring.add(acc, term)
+                if acc is not None:
+                    acc = ring.mul(neg0, acc)
+                    if not ring.is_zero(acc):
+                        inv[(i, j)] = acc
+        # a nonconstant unit has an infinite inverse: the result is truncated
+        return Series2._raw(ring, self.variables, self.order, inv, True)
 
     def divide(self, divisor: "Series2") -> "Series2":
         """Division by a unit series or by a monomial."""
@@ -581,23 +593,31 @@ class Series1:
         return Series1._raw(ring, self.variable, order, acc, self.truncated)
 
     def inverse_unit(self) -> "Series1":
+        """Multiplicative inverse of a unit, one degree at a time:
+        v_0 = 1/u_0 and v_n = -v_0 * sum_{k>=1} u_k v_(n-k)."""
         ring = self.ring
-        c0 = self.coefficient(0)
-        inv0 = ring.invert(c0)
-        tail = self - Series1.constant(ring, self.variable, self.order, c0)
-        if tail.is_zero():
+        inv0 = ring.invert(self.coefficient(0))  # raises on non-units
+        tail = sorted((k, c) for k, c in self.coeffs.items() if k)
+        if not tail:
             return Series1._raw(ring, self.variable, self.order, {0: inv0},
                                 self.truncated)
-        step = tail.scale(ring.neg(inv0))
-        term = Series1.constant(ring, self.variable, self.order, 1)
-        total = term
-        k = 0
-        while not term.is_zero() and k <= self.order:
-            term = term * step
-            total = total + term
-            k += 1
-        return Series1._raw(ring, self.variable, self.order,
-                            total.scale(inv0).coeffs, True)
+        neg0 = ring.neg(inv0)
+        inv = {0: inv0}
+        for n in range(1, self.order + 1):
+            acc = None
+            for k, c in tail:
+                if k > n:
+                    break
+                v = inv.get(n - k)
+                if v is None:
+                    continue
+                term = ring.mul(c, v)
+                acc = term if acc is None else ring.add(acc, term)
+            if acc is not None:
+                acc = ring.mul(neg0, acc)
+                if not ring.is_zero(acc):
+                    inv[n] = acc
+        return Series1._raw(ring, self.variable, self.order, inv, True)
 
     def divide(self, divisor: "Series1") -> "Series1":
         self._check_compat(divisor)

@@ -370,3 +370,22 @@ def test_report_param_mode():
     assert eps["param"] == "b"
     assert eps["coeffs"][6] == "5934060/1"
     assert all(c == "0/1" for c in eps["coeffs"][:6])
+
+
+def test_report_text_reads_each_input_once(tmp_path, monkeypatch):
+    import pdfol.cli as cli
+    for name in ("one.txt", "two.txt"):
+        (tmp_path / name).write_text("d(y^2+x^4) + 4*x^2*dy\n",
+                                     encoding="utf-8")
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    code, out, _ = run(["report", "--input", str(tmp_path)])
+    assert code == 0
+    assert "== one.txt ==" in out and "== two.txt ==" in out
+    assert sorted(opened) == [str(tmp_path / "one.txt"),
+                              str(tmp_path / "two.txt")]

@@ -8,7 +8,8 @@ from pdfol.errors import MathError, PrecisionError
 from pdfol.normal_form import (FiberedField, apply_fibered, bound_bruteforce,
                                homological_step, invert_fiber, normalize,
                                to_fibered_field, verify_conjugation)
-from pdfol.rings import ParamPolyRing, RationalExact, rational
+from pdfol.rings import (ComplexApprox, ParamPolyRing, RationalExact,
+                         rational)
 from pdfol.series import Series2
 from util import expected_final, fibered_model_form
 
@@ -194,6 +195,21 @@ def test_saddle_fibered_shape():
 def test_saddle_epsilon_nonzero():
     res = normalize(saddle_fibered(12, b_value=1), 12)
     assert not QQ.is_zero(res.epsilon)
+
+
+def test_float_check_rejects_epsilon_off_by_one():
+    # the worked example d(y^2+x^4) - 5x^2(1+x)dy: epsilon is about 5.9e6
+    # and the transform's coefficients grow far larger, so a floor scaled
+    # by the largest coefficient would let epsilon + 1 through
+    CC = ComplexApprox()
+    for N in (12, 18):
+        omega = recenter(expected_final(2, rational(-5), (1,), ring=CC,
+                                        order=N + 4), CC.coerce(2))
+        X = to_fibered_field(omega, 6, order=N)
+        res = normalize(X, N)
+        assert res.residual_valuation > N
+        off = CC.add(res.epsilon, CC.one)
+        assert verify_conjugation(X, res.transform, 6, off, N) <= N
 
 
 def test_dicritical_family_epsilon_zero():

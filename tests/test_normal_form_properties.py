@@ -1,11 +1,12 @@
 """Property tests of the one-pass normal form against the transport
 oracle ``apply_fibered``, over random tails in all three rings."""
 
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfol.normal_form import (FiberedField, _floor_small, apply_fibered,
-                               normalize, verify_conjugation)
+from pdfol.normal_form import (FiberedField, apply_fibered, normalize,
+                               verify_conjugation)
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series2
 
@@ -51,13 +52,17 @@ def in_ring(ring, spec, N):
 
 
 def float_floor(diff, *operands):
-    """diff with float roundoff dropped, at the scale verify_conjugation
-    uses; exact rings pass through."""
+    """diff with float roundoff dropped: coefficients at most tol times
+    the squared largest operand coefficient; exact rings pass through."""
     if diff.ring is not CC:
         return diff
     scale = max([1.0] + [float(abs(c)) for s in operands
                          for c in s.coeffs.values()])
-    return _floor_small(diff, scale ** 2)
+    bound = CC.tol * max(1.0, scale ** 2)
+    acc = {key: c for key, c in diff.coeffs.items()
+           if abs(mpmath.mpc(c)) > bound}
+    return Series2._raw(diff.ring, diff.variables, diff.order, acc,
+                        diff.truncated)
 
 
 @PROPERTY

@@ -70,6 +70,18 @@ def test_complex_tolerance_semantics():
     assert CC.eq(big, CC.add(big, CC.coerce(1.0)))
 
 
+def test_complex_is_zero_is_eq_to_zero():
+    tol = CC.tol
+    for size in (tol * (1 - 1e-6), tol, tol * (1 + 1e-6), 0.5, 1.0, 2.0,
+                 1e12):
+        for value in (size, -size, complex(0, size),
+                      complex(0.6 * size, -0.8 * size)):
+            a = CC.coerce(value)
+            assert CC.is_zero(a) == CC.eq(a, CC.zero), value
+    assert CC.is_zero(CC.coerce(tol)) and CC.is_zero(CC.zero)
+    assert not CC.is_zero(CC.coerce(tol * (1 + 1e-6)))
+
+
 def test_complex_precision_and_invert():
     ring = ComplexApprox(precision=96)
     val = ring.coerce(rational(1, 3))
