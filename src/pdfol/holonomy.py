@@ -149,26 +149,47 @@ def exp_vf(Y: VectorField1, N: int) -> FormalDiffeo1:
 
 
 def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
-    """The vector field Y with exp_vf(Y, N) = h to order N.
+    """The vector field Y = f d/dx with exp_vf(Y, N) = h to order N.
 
-    Only tangent-to-identity maps have a logarithm in this chart; the
-    field is recovered degree by degree since adding c*x^d to Y changes
-    the flow by c*x^d plus higher-order terms."""
+    Only tangent-to-identity maps have a logarithm in this chart.  The
+    Lie series exp(Y)(x) = x + sum_k T_k, T_1 = f, T_k = f*T_{k-1}'/k, is
+    evaluated one degree at a time: val(f) >= 2, so [x^d] T_k for k >= 2
+    needs f only below degree d, and f_d = h_d - sum_{k>=2} [x^d] T_k."""
     ring = h.ring
     if not ring.eq(h.multiplier, ring.coerce(1)):
         raise MathError("logarithm needs multiplier 1")
     if h.tail.truncated and h.tail.order < N:
         raise PrecisionError("diffeomorphism known only to order %d < N = %d"
                              % (h.tail.order, N))
-    variable = h.variable
-    target = h.series().truncate(N) if h.order > N else h.series()
-    f = Series1.zero(ring, variable, N)
-    for d in range(2, N + 1):
-        current = exp_vf(VectorField1(f), N).series()
-        c = (target - current).coefficient(d)
+    target = h.tail.truncate(N)
+    f = {}
+    # slopes[k][j] = j * [x^j] T_k, so [x^(j-1)] T_k' = slopes[k][j]
+    slopes = [None] + [{} for _ in range(target.order)]
+    for d in range(2, target.order + 1):
+        total = None
+        for k in range(2, d):
+            lower = slopes[k - 1]
+            if not lower:  # T_(k-1) vanishes below degree d, so T_k does
+                break
+            acc = None
+            for i, fi in f.items():  # ascending: filled degree by degree
+                v = lower.get(d - i + 1)
+                if v is None:
+                    continue
+                term = ring.mul(fi, v)
+                acc = term if acc is None else ring.add(acc, term)
+            if acc is None:
+                continue
+            acc = ring.mul(acc, ring.coerce(rational(1, k)))
+            total = acc if total is None else ring.add(total, acc)
+            slopes[k][d] = ring.mul(acc, ring.coerce(d))
+        c = target.coefficient(d)
+        if total is not None:
+            c = ring.sub(c, total)
         if not ring.is_zero(c):
-            f = f + Series1.monomial(ring, variable, N, d, c)
-    return VectorField1(f)
+            f[d] = c
+            slopes[1][d] = ring.mul(c, ring.coerce(d))
+    return VectorField1(Series1._raw(ring, h.variable, N, f, False))
 
 
 def compose(outer: FormalDiffeo1, inner: FormalDiffeo1) -> FormalDiffeo1:

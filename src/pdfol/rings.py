@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 
 import mpmath
-from mpmath.libmp import (fone, from_float, mpc_abs, mpf_le, mpf_mul,
-                          round_nearest)
+from mpmath.libmp import (fone, from_float, mpc_abs, mpc_add, mpc_mul,
+                          mpc_neg, mpc_sub, mpf_le, mpf_mul, round_nearest)
 
 from .errors import MathError, NotInvertibleError
 
@@ -309,6 +309,9 @@ class RationalExact(CoefficientRing):
         return format_rational(a)
 
 
+_make_mpc = mpmath.mp.make_mpc
+
+
 class ComplexApprox(CoefficientRing):
     """Complex floats with a configurable mantissa and comparison tolerance.
 
@@ -340,20 +343,25 @@ class ComplexApprox(CoefficientRing):
                 return mpmath.mpc(value)
         raise MathError("cannot interpret %r as a complex coefficient" % (value,))
 
+    # add, sub and mul round to ``precision`` bits, to nearest, on the raw
+    # mpmath tuples: the same bits as native operators under
+    # ``workprec(precision)``, without entering a context per operation.
     def add(self, a, b):
-        with mpmath.workprec(self.precision):
-            return a + b
+        return _make_mpc(mpc_add(a._mpc_, b._mpc_, self.precision,
+                                 round_nearest))
 
     def sub(self, a, b):
-        with mpmath.workprec(self.precision):
-            return a - b
+        return _make_mpc(mpc_sub(a._mpc_, b._mpc_, self.precision,
+                                 round_nearest))
 
     def mul(self, a, b):
-        with mpmath.workprec(self.precision):
-            return a * b
+        return _make_mpc(mpc_mul(a._mpc_, b._mpc_, self.precision,
+                                 round_nearest))
 
     def neg(self, a):
-        return -a
+        """Exact: no rounding, so all ``precision`` bits survive (``-a``
+        would round to mpmath's global precision)."""
+        return _make_mpc(mpc_neg(a._mpc_))
 
     def is_zero(self, a) -> bool:
         """``eq(a, zero)``: |a| <= tol * max(1, |a|), with |a| and the

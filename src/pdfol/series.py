@@ -675,22 +675,54 @@ class Series1:
         return self.compose(shifted)
 
     def reversion(self) -> "Series1":
-        """Compositional inverse of a series with h(0) = 0, h'(0) a unit."""
+        """Compositional inverse of a series with h(0) = 0, h'(0) a unit.
+
+        h = lam*x + tail, and g solves g = (x - tail(g))/lam one degree at
+        a time: val(tail) >= 2, so [x^n] g^j for j >= 2 needs g only below
+        degree n.  The powers g^j (j up to the tail's degree) are kept and
+        extended by one degree per step, so the whole pass costs about one
+        composition."""
         ring = self.ring
         if not ring.is_zero(self.coefficient(0)):
             raise MathError("reversion needs a series vanishing at 0")
-        lam = self.coefficient(1)
-        lam_inv = ring.invert(lam)
-        x = Series1.monomial(ring, self.variable, self.order, 1)
-        tail = self - x.scale(lam)
-        g = x.scale(lam_inv)
-        for _ in range(self.order):
-            g_new = (x - tail.compose(g)).scale(lam_inv)
-            if g_new == g:
-                g = g_new
-                break
-            g = g_new
-        return g
+        lam_inv = ring.invert(self.coefficient(1))  # raises on non-units
+        tail = sorted((k, c) for k, c in self.coeffs.items() if k >= 2)
+        g = {1: lam_inv}
+        if not tail:
+            # a linear map has an exact linear inverse
+            return Series1._raw(ring, self.variable, self.order, g,
+                                self.truncated)
+        neg_inv = ring.neg(lam_inv)
+        powers = [None, g] + [{} for _ in range(tail[-1][0] - 1)]
+        for n in range(2, self.order + 1):
+            for j in range(2, min(n, len(powers) - 1) + 1):
+                lower = powers[j - 1]
+                acc = None
+                for a, ga in g.items():  # ascending: filled degree by degree
+                    if a > n - j + 1:
+                        break
+                    v = lower.get(n - a)
+                    if v is None:
+                        continue
+                    term = ring.mul(ga, v)
+                    acc = term if acc is None else ring.add(acc, term)
+                if acc is not None:
+                    powers[j][n] = acc
+            acc = None
+            for k, c in tail:
+                if k > n:
+                    break
+                v = powers[k].get(n)
+                if v is None:
+                    continue
+                term = ring.mul(c, v)
+                acc = term if acc is None else ring.add(acc, term)
+            if acc is not None:
+                acc = ring.mul(neg_inv, acc)
+                if not ring.is_zero(acc):
+                    g[n] = acc
+        # a nonlinear map has an infinite inverse: the result is truncated
+        return Series1._raw(ring, self.variable, self.order, g, True)
 
     def as_polynomial_coeffs(self) -> list:
         """Dense coefficient list [c0, c1, ...] up to the stored degree."""

@@ -14,6 +14,7 @@ from pdfol.classify import (CASE_CUSP, CASE_SADDLE, CASE_SADDLE_NODE,
                             verdict_dicritical)
 from pdfol.errors import InputError, MathError
 from pdfol.forms import OneForm2, SingKind, classify_singularity, dual, linear_part
+from pdfol.parser import parse_expr
 from pdfol.rings import ComplexApprox, ParamPolyRing, rational, rational_sqrt
 from pdfol.series import Series2
 
@@ -319,6 +320,18 @@ def test_analyze_float_mode():
     assert (rep.m, rep.z1, rep.z2) == (6, rat(2), rat(1, 2))
     assert rep.verdict == VERDICT_GPD
     assert abs(rep.epsilon - 5934060) < 1e-2 * 5934060
+
+
+def test_chain_float_agrees_with_exact():
+    """Float subtraction keeps every mantissa bit, so the float chain
+    reaches the exact verdict; when negation rounded to 53 bits this
+    input raised "blow-up requested at a nonsingular origin"."""
+    text = "d(y^2+x^6) + -5*x^3*(1-3*x)*dy"
+    exact, approx = (analyze(parse_expr(text, mode, 23).form, method="chain",
+                             N=23) for mode in ("exact", "float"))
+    assert (exact.verdict, exact.m) == (VERDICT_GPD, 9)
+    assert (approx.case, approx.subcase) == (exact.case, exact.subcase)
+    assert (approx.verdict, approx.m) == (exact.verdict, exact.m)
 
 
 def test_analyze_report_json():

@@ -1,0 +1,117 @@
+"""Property tests of the one-pass series reversion and Lie-series
+logarithm over random sparse maps in all three rings, and of their float
+accuracy against a 300-bit reference."""
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdfol.errors import MathError, NotInvertibleError
+from pdfol.holonomy import (FormalDiffeo1, VectorField1, exp_vf, inverse,
+                            log_diffeo, pd_holonomy_model)
+from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
+from pdfol.series import Series1
+
+QQ = RationalExact()
+CC = ComplexApprox()
+PB = ParamPolyRing("b")
+RINGS = (QQ, CC, PB)
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+NONZERO = st.integers(-4, 4).filter(bool)
+
+
+def coefficient(ring, q, e):
+    """q*b^e in the param ring, q in the others."""
+    c = ring.from_rational(q)
+    if ring is PB:
+        c = ring.mul(c, ring.generator ** e)
+    return c
+
+
+@st.composite
+def sparse_maps(draw):
+    """(order, multiplier, {degree: (q, e)}, truncated): a tail supported
+    on degrees 1 + k*m, k >= 1, the shape of the holonomy generators; it
+    may be empty, so linear maps are drawn too."""
+    order = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 4))
+    degrees = list(range(1 + m, order + 1, m))
+    tail = {}
+    if degrees:
+        for d in draw(st.lists(st.sampled_from(degrees), max_size=4)):
+            tail[d] = (rational(draw(NONZERO), draw(st.integers(1, 3))),
+                       draw(st.integers(0, 2)))
+    multiplier = rational(draw(NONZERO), draw(st.integers(1, 3)))
+    return order, multiplier, tail, draw(st.booleans())
+
+
+def build(ring, order, multiplier, tail, truncated):
+    coeffs = {d: coefficient(ring, q, e) for d, (q, e) in tail.items()}
+    if multiplier is not None:
+        coeffs[1] = ring.from_rational(multiplier)
+    return Series1(ring, "x", order, coeffs, truncated=truncated)
+
+
+@PROPERTY
+@given(sparse_maps())
+def test_reversion_is_two_sided_inverse(case):
+    order, multiplier, tail, truncated = case
+    for ring in RINGS:
+        h = build(ring, order, multiplier, tail, truncated)
+        g = h.reversion()
+        x = Series1.monomial(ring, "x", order, 1)
+        assert h.compose(g) == x, ring.name
+        assert g.compose(h) == x, ring.name
+        assert g.order == order
+        # a linear map has an exact inverse
+        assert g.truncated == (truncated or bool(tail))
+        shifted = h + Series1.constant(ring, "x", order, 1)
+        with pytest.raises(MathError):
+            shifted.reversion()
+        with pytest.raises(NotInvertibleError):
+            build(ring, order, None, tail, truncated).reversion()
+    non_unit = build(PB, order, None, tail, truncated) \
+        + Series1.monomial(PB, "x", order, 1, PB.generator)
+    with pytest.raises(NotInvertibleError):
+        non_unit.reversion()
+
+
+@PROPERTY
+@given(sparse_maps())
+def test_log_and_exp_are_inverse(case):
+    order, _, tail, truncated = case
+    for ring in RINGS:
+        field = build(ring, order, None, tail, truncated)
+        h = FormalDiffeo1(ring.one, field)
+        assert exp_vf(log_diffeo(h, order), order).series() == h.series(), \
+            ring.name
+        Y = VectorField1(field)
+        assert log_diffeo(exp_vf(Y, order), order).f == field, ring.name
+
+
+def relative_error(value: Series1, reference: Series1):
+    """Largest coefficient error over the largest reference coefficient."""
+    keys = set(value.coeffs) | set(reference.coeffs)
+    scale = max(abs(c) for c in reference.coeffs.values())
+    return max(abs(mpmath.mpc(value.coefficient(k)) - reference.coefficient(k))
+               for k in keys) / scale
+
+
+@pytest.mark.parametrize("m, N", [(2, 26), (3, 36)])
+def test_float_log_and_inverse_match_300_bit_reference(m, N):
+    """The error is taken relative to the largest coefficient: the top
+    coefficients of log h are about 1e9 times smaller than those of h
+    (up to 6e5 at m = 2), so rounding h to 64 bits already moves each of
+    them by more than 1e-11 relative."""
+    results = []
+    for ring in (CC, ComplexApprox(precision=300, tol=1e-60)):
+        h = pd_holonomy_model(m, N, ring)
+        tangent = FormalDiffeo1(ring.one,
+                                h.tail.scale(ring.invert(h.multiplier)))
+        results.append((log_diffeo(tangent, N).f, inverse(h).series()))
+    (log64, inv64), (log300, inv300) = results
+    assert relative_error(log64, log300) < 1e-11
+    assert relative_error(inv64, inv300) < 1e-11

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import mpmath
 import pytest
 
 from pdfol.errors import NotInvertibleError
@@ -93,6 +94,40 @@ def test_complex_precision_and_invert():
     assert CC.eq(inv, CC.coerce(0.5))
     re, im = CC.json_value(CC.coerce(complex(1.5, -2.0)))
     assert re == 1.5 and im == -2.0
+
+
+def test_complex_neg_keeps_precision():
+    for ring in (CC, ComplexApprox(precision=300)):
+        a = ring.coerce(rational(1, 3))
+        assert ring.add(a, ring.neg(a)) == 0  # no bit of a is rounded away
+        assert ring.neg(a) == ring.sub(ring.zero, a)
+        assert ring.neg(ring.neg(a)) == a
+
+
+def test_complex_arithmetic_is_workprec_arithmetic():
+    """add/sub/mul on the raw tuples give the bits of native operators
+    under workprec, for tiny, huge and mixed magnitudes."""
+    rng = random.Random(577)
+    source = ComplexApprox(precision=300)
+
+    def part():
+        return source.mul(source.coerce(rng.uniform(-1, 1)),
+                          source.coerce(rational(10) ** rng.randint(-300, 300)))
+
+    def value():
+        re = part()
+        if rng.random() < 0.3:
+            return re
+        return source.add(re, source.mul(part(), source.coerce(1j)))
+
+    for ring in (CC, ComplexApprox(precision=53),
+                 ComplexApprox(precision=113)):
+        for _ in range(200):
+            a, b = value(), value()
+            with mpmath.workprec(ring.precision):
+                want = (a + b, a - b, a * b)
+            got = (ring.add(a, b), ring.sub(a, b), ring.mul(a, b))
+            assert [v._mpc_ for v in got] == [v._mpc_ for v in want]
 
 
 def test_param_poly_arithmetic():
