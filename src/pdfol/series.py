@@ -1,5 +1,20 @@
 """Sparse truncated power series in one and two variables.
 
+One implementation serves both arities.  ``_Series`` holds every
+operation the two share: construction, equality, text, ring arithmetic,
+truncation, derivatives, division by monomials and units, and the one
+substitution loop behind ``Series1.compose`` and ``Series2.substitute``.
+A subclass holds only its monomial-key convention and the operations
+that make sense for its own arity:
+
+- ``Series1`` (names its variable ``variable``) keys x^k by the int k;
+  only it has ``reversion``, ``translate`` and ``as_polynomial_coeffs``.
+- ``Series2`` (names its variables ``variables``) keys x^i*y^j by the
+  pair (i, j); only it has ``swap_variables``, ``restrict_first_zero``,
+  ``homogeneous_part``, ``degree_in`` and ``min_exponent``.
+
+Mixing a ``Series1`` with a ``Series2`` raises TypeError.
+
 A series stores only its nonzero coefficients up to a truncation order N
 (total degree).  Operations return new values; the order of a result is the
 minimum of the operand orders, so precision is never silently extended.
@@ -16,6 +31,8 @@ never represented, and raises PrecisionError.
 from __future__ import annotations
 
 import math
+import operator
+from functools import partialmethod
 
 from .errors import MathError, NotInvertibleError, PrecisionError
 
@@ -29,48 +46,55 @@ def _merge_term(ring, acc, key, value):
         acc[key] = value
 
 
-class Series2:
-    """Truncated power series in two ordered variables."""
+class _Series:
+    """The operations Series1 and Series2 share.
 
-    __slots__ = ("ring", "variables", "order", "coeffs", "truncated")
+    A subclass supplies its key convention: ``_NAMES`` (the attribute that
+    holds its variable name or names), ``_CONSTANT`` (the key of 1),
+    ``_VARIABLES`` (the key of each variable), ``_checked_key(key)`` (the
+    key with int exponents, and its degree), ``_key(*exponents)`` and
+    ``_exponents(key)`` (a key from its exponents and back), ``_degree``,
+    ``_add_keys``, ``_sub_keys``, ``_monomials(d)`` (the keys of degree d,
+    in the order ``inverse_unit`` fills them), ``_names()`` (the names as
+    a tuple) and the texts of its errors."""
 
-    def __init__(self, ring, variables, order, coeffs=None, *, truncated=False):
-        variables = tuple(variables)
-        if len(variables) != 2 or variables[0] == variables[1]:
-            raise ValueError("Series2 needs two distinct variable names")
+    __slots__ = ("ring", "order", "coeffs", "truncated")
+
+    def __new__(cls, ring, variables, order, coeffs=None, *, truncated=False):
+        variables = cls._checked_names(variables)
         if not isinstance(order, int) or order < 0:
             raise ValueError("truncation order must be a nonnegative integer")
+        checked_key = cls._checked_key
         clean = {}
         dropped = False
         for key, value in (coeffs or {}).items():
-            i, j = key
-            if i < 0 or j < 0:
-                raise ValueError("negative exponent in series construction")
+            key, degree = checked_key(key)
             value = ring.coerce(value)
             if ring.is_zero(value):
                 continue
-            if i + j > order:
+            if degree > order:
                 dropped = True
                 continue
-            clean[(int(i), int(j))] = value
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "truncated", bool(truncated or dropped))
+            clean[key] = value
+        return cls._raw(ring, variables, order, clean, bool(truncated or dropped))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Series2 is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @classmethod
     def _raw(cls, ring, variables, order, coeffs, truncated):
         out = object.__new__(cls)
         object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, cls._NAMES, variables)
         object.__setattr__(out, "order", order)
         object.__setattr__(out, "coeffs", coeffs)
         object.__setattr__(out, "truncated", truncated)
         return out
+
+    def _like(self, order, coeffs, truncated):
+        """A series with this one's type, ring and variables."""
+        return self._raw(self.ring, getattr(self, self._NAMES), order, coeffs,
+                         truncated)
 
     @classmethod
     def zero(cls, ring, variables, order):
@@ -78,11 +102,11 @@ class Series2:
 
     @classmethod
     def constant(cls, ring, variables, order, value):
-        return cls(ring, variables, order, {(0, 0): value})
+        return cls(ring, variables, order, {cls._CONSTANT: value})
 
     @classmethod
     def monomial(cls, ring, variables, order, exponents, value=1):
-        return cls(ring, variables, order, {tuple(exponents): value})
+        return cls(ring, variables, order, {cls._checked_key(exponents)[0]: value})
 
     # ------------------------------------------------------------------
     # inspection
@@ -90,35 +114,20 @@ class Series2:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, i, j):
-        return self.coeffs.get((i, j), self.ring.zero)
+    def coefficient(self, *exponents):
+        return self.coeffs.get(self._key(*exponents), self.ring.zero)
 
     def valuation(self):
         """Minimal total degree of a nonzero term; INF for the zero series."""
         if not self.coeffs:
             return INF
-        return min(i + j for i, j in self.coeffs)
+        return min(map(self._degree, self.coeffs))
 
     def degree(self):
         """Maximal total degree of the stored support; -1 when zero."""
         if not self.coeffs:
             return -1
-        return max(i + j for i, j in self.coeffs)
-
-    def degree_in(self, index: int):
-        if not self.coeffs:
-            return -1
-        return max(key[index] for key in self.coeffs)
-
-    def min_exponent(self, index: int):
-        """Smallest exponent of one variable across the support; INF if zero."""
-        if not self.coeffs:
-            return INF
-        return min(key[index] for key in self.coeffs)
-
-    def homogeneous_part(self, k: int) -> "Series2":
-        part = {key: c for key, c in self.coeffs.items() if key[0] + key[1] == k}
-        return Series2._raw(self.ring, self.variables, self.order, part, self.truncated)
+        return max(map(self._degree, self.coeffs))
 
     def __eq__(self, other):
         """Mathematical equality of the stored coefficients.
@@ -126,35 +135,36 @@ class Series2:
         Orders and truncation flags are not compared; callers that care
         about exactness inspect ``truncated`` directly.
         """
-        if not isinstance(other, Series2):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        if self.ring != other.ring or self.variables != other.variables:
+        if (self.ring != other.ring
+                or getattr(self, self._NAMES) != getattr(other, self._NAMES)):
             return False
         keys = set(self.coeffs) | set(other.coeffs)
         ring = self.ring
-        return all(ring.eq(self.coefficient(*k), other.coefficient(*k)) for k in keys)
+        zero = ring.zero
+        return all(ring.eq(self.coeffs.get(k, zero), other.coeffs.get(k, zero))
+                   for k in keys)
 
     __hash__ = None
 
     def __repr__(self):
-        return "Series2(%s; %s; order=%d%s)" % (
-            ",".join(self.variables), self.format(), self.order,
-            ", truncated" if self.truncated else "")
+        return "%s(%s; %s; order=%d%s)" % (
+            type(self).__name__, ",".join(self._names()), self.format(),
+            self.order, ", truncated" if self.truncated else "")
 
     def format(self) -> str:
         """Human-readable polynomial text in graded-lexicographic order."""
         if not self.coeffs:
             return "0"
         ring = self.ring
+        names = self._names()
         parts = []
-        for (i, j) in sorted(self.coeffs, key=lambda k: (k[0] + k[1], -k[0])):
-            c = self.coeffs[(i, j)]
-            mono = []
-            if i:
-                mono.append(self.variables[0] if i == 1 else "%s^%d" % (self.variables[0], i))
-            if j:
-                mono.append(self.variables[1] if j == 1 else "%s^%d" % (self.variables[1], j))
-            text = ring.format_coeff(c)
+        for key in sorted(self.coeffs, key=lambda k: (
+                self._degree(k), [-e for e in self._exponents(k)])):
+            mono = [name if e == 1 else "%s^%d" % (name, e)
+                    for name, e in zip(names, self._exponents(key)) if e]
+            text = ring.format_coeff(self.coeffs[key])
             if mono:
                 if text == "1":
                     text = "*".join(mono)
@@ -174,33 +184,35 @@ class Series2:
     # arithmetic
 
     def _check_compat(self, other):
-        if not isinstance(other, Series2):
-            raise TypeError("expected a Series2 operand")
+        if type(other) is not type(self):
+            raise TypeError("expected a %s operand" % type(self).__name__)
         if self.ring != other.ring:
             raise ValueError("mixed coefficient rings")
-        if self.variables != other.variables:
-            raise ValueError("mixed variable sets %r vs %r"
-                             % (self.variables, other.variables))
+        names = self._NAMES
+        if getattr(self, names) != getattr(other, names):
+            raise ValueError(self._MIXED % (getattr(self, names),
+                                            getattr(other, names)))
 
     def __add__(self, other):
         self._check_compat(other)
         ring = self.ring
         order = min(self.order, other.order)
+        degree = self._degree
         acc = {}
         dropped = self.truncated or other.truncated
         for source in (self.coeffs, other.coeffs):
             for key, value in source.items():
-                if key[0] + key[1] > order:
+                if degree(key) > order:
                     dropped = True
                     continue
                 _merge_term(ring, acc, key, value)
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series2._raw(ring, self.variables, order, acc, dropped)
+        return self._like(order, acc, dropped)
 
     def __neg__(self):
         ring = self.ring
         acc = {k: ring.neg(v) for k, v in self.coeffs.items()}
-        return Series2._raw(ring, self.variables, self.order, acc, self.truncated)
+        return self._like(self.order, acc, self.truncated)
 
     def __sub__(self, other):
         return self + (-other)
@@ -209,92 +221,101 @@ class Series2:
         self._check_compat(other)
         ring = self.ring
         order = min(self.order, other.order)
+        degree = self._degree
+        add_keys = self._add_keys
+        right = [(key, degree(key), c) for key, c in other.coeffs.items()]
         acc = {}
         dropped = self.truncated or other.truncated
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i = i1 + i2
-                j = j1 + j2
-                if i + j > order:
+        for key1, c1 in self.coeffs.items():
+            d1 = degree(key1)
+            for key2, d2, c2 in right:
+                if d1 + d2 > order:
                     dropped = True
                     continue
-                _merge_term(ring, acc, (i, j), ring.mul(c1, c2))
+                _merge_term(ring, acc, add_keys(key1, key2), ring.mul(c1, c2))
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series2._raw(ring, self.variables, order, acc, dropped)
+        return self._like(order, acc, dropped)
 
-    def scale(self, value) -> "Series2":
+    def scale(self, value):
         ring = self.ring
         value = ring.coerce(value)
         if ring.is_zero(value):
-            return Series2._raw(ring, self.variables, self.order, {}, self.truncated)
+            return self._like(self.order, {}, self.truncated)
         acc = {k: ring.mul(v, value) for k, v in self.coeffs.items()}
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series2._raw(ring, self.variables, self.order, acc, self.truncated)
+        return self._like(self.order, acc, self.truncated)
 
-    def truncate(self, order: int) -> "Series2":
+    def truncate(self, order: int):
         if order >= self.order:
             return self
+        degree = self._degree
         acc = {}
         dropped = self.truncated
         for key, value in self.coeffs.items():
-            if key[0] + key[1] > order:
+            if degree(key) > order:
                 dropped = True
             else:
                 acc[key] = value
-        return Series2._raw(self.ring, self.variables, order, acc, dropped)
+        return self._like(order, acc, dropped)
 
-    def derive(self, index: int) -> "Series2":
-        """Partial derivative; the order drops by one."""
+    def derive(self, index: int):
+        """Partial derivative in variable ``index`` (``Series1.derive()``
+        takes none); the order drops by one."""
         ring = self.ring
         order = max(self.order - 1, 0)
+        exponents, sub_keys = self._exponents, self._sub_keys
+        variable = self._VARIABLES[index]
         acc = {}
-        for (i, j), c in self.coeffs.items():
-            e = (i, j)[index]
-            if e == 0:
-                continue
-            key = (i - 1, j) if index == 0 else (i, j - 1)
-            _merge_term(ring, acc, key, ring.mul(c, ring.coerce(e)))
+        for key, c in self.coeffs.items():
+            e = exponents(key)[index]
+            if e:
+                acc[sub_keys(key, variable)] = ring.mul(c, ring.coerce(e))
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series2._raw(ring, self.variables, order, acc, self.truncated)
+        return self._like(order, acc, self.truncated)
 
-    def divide_monomial(self, exponents) -> "Series2":
-        """Exact division by x^i*y^j; every term must be divisible."""
-        di, dj = exponents
-        ring = self.ring
+    def divide_monomial(self, exponents):
+        """Exact division by the monomial keyed ``exponents``; every term
+        must be divisible."""
         acc = {}
-        for (i, j), c in self.coeffs.items():
-            if i < di or j < dj:
+        for key, c in self.coeffs.items():
+            quotient = self._sub_keys(key, exponents)
+            if min(self._exponents(quotient)) < 0:
                 raise MathError("series is not divisible by the monomial")
-            acc[(i - di, j - dj)] = c
-        order = self.order - di - dj
+            acc[quotient] = c
+        order = self.order - self._degree(exponents)
         if order < 0:
             raise PrecisionError("monomial division exhausts the truncation order")
-        return Series2._raw(ring, self.variables, order, acc, self.truncated)
+        return self._like(order, acc, self.truncated)
 
-    def inverse_unit(self) -> "Series2":
+    def inverse_unit(self):
         """Multiplicative inverse of a unit (invertible constant term).
 
-        One pass over degrees: v_00 = 1/u_00 and, for each monomial of
-        degree d, v_ij = -v_00 * sum of u_ab * v_(i-a)(j-b) over the
-        nonconstant terms of u."""
+        One pass over degrees: v_0 = 1/u_0 and, for each monomial n of
+        degree d, v_n = -v_0 * sum of u_k * v_(n-k) over the nonconstant
+        terms k of u, taken in ascending key order."""
         ring = self.ring
-        inv0 = ring.invert(self.coefficient(0, 0))  # raises on non-units
-        tail = sorted((key, c) for key, c in self.coeffs.items() if key != (0, 0))
+        one = self._CONSTANT
+        inv0 = ring.invert(self.coeffs.get(one, ring.zero))  # raises on non-units
+        tail = sorted((key, c) for key, c in self.coeffs.items() if key != one)
         if not tail:
-            return Series2._raw(ring, self.variables, self.order, {(0, 0): inv0},
-                                self.truncated)
+            return self._like(self.order, {one: inv0}, self.truncated)
         neg0 = ring.neg(inv0)
-        inv = {(0, 0): inv0}
+        exponents, sub_keys = self._exponents, self._sub_keys
+        # keys ascend, so first exponents never decrease; comparing first
+        # and last exponents decides divisibility in one or two variables
+        tail = [(key, exponents(key)[0], exponents(key)[-1], c)
+                for key, c in tail]
+        inv = {one: inv0}
         for d in range(1, self.order + 1):
-            for i in range(d, -1, -1):
-                j = d - i
+            for key in self._monomials(d):
+                first, last = exponents(key)[0], exponents(key)[-1]
                 acc = None
-                for (a, b), c in tail:
-                    if a > i:
+                for tkey, tfirst, tlast, c in tail:
+                    if tfirst > first:
                         break
-                    if b > j:
+                    if tlast > last:
                         continue
-                    v = inv.get((i - a, j - b))
+                    v = inv.get(sub_keys(key, tkey))
                     if v is None:
                         continue
                     term = ring.mul(c, v)
@@ -302,23 +323,116 @@ class Series2:
                 if acc is not None:
                     acc = ring.mul(neg0, acc)
                     if not ring.is_zero(acc):
-                        inv[(i, j)] = acc
+                        inv[key] = acc
         # a nonconstant unit has an infinite inverse: the result is truncated
-        return Series2._raw(ring, self.variables, self.order, inv, True)
+        return self._like(self.order, inv, True)
 
-    def divide(self, divisor: "Series2") -> "Series2":
+    def divide(self, divisor):
         """Division by a unit series or by a monomial."""
         self._check_compat(divisor)
         if len(divisor.coeffs) == 1:
-            ((di, dj), c), = divisor.coeffs.items()
-            out = self.divide_monomial((di, dj))
-            return out.scale(self.ring.invert(c))
+            (key, c), = divisor.coeffs.items()
+            return self.divide_monomial(key).scale(self.ring.invert(c))
         if divisor.is_zero():
             raise NotInvertibleError("division by the zero series")
         return self * divisor.inverse_unit()
 
     # ------------------------------------------------------------------
     # substitution
+
+    def _substitute(self, images, cache):
+        """Evaluate the series with variable n replaced by ``images[n]``.
+
+        ``cache`` holds the power ladder of each image between calls that
+        share the images."""
+        first = images[0]
+        if not isinstance(first, type(self)):
+            raise TypeError("expected a %s operand" % type(self).__name__)
+        what, unsafe = self._SUBSTITUTION
+        if first.ring != self.ring:
+            raise ValueError("mixed coefficient rings in " + what)
+        ring = self.ring
+        valuations = [s.valuation() for s in images]
+        if self.truncated and any(
+                v == 0 and any(self._exponents(key)[n] for key in self.coeffs)
+                for n, v in enumerate(valuations)):
+            raise PrecisionError(unsafe)
+        orders = [s.order for s in images]
+        order = min(self.order, *orders)
+        if cache is None:
+            cache = {}
+        one = first._like(min(orders), {first._CONSTANT: ring.coerce(1)}, False)
+        ladders = [cache.setdefault(n, [one]) for n in range(len(images))]
+        degree, exponents_of = first._degree, self._exponents
+        acc = {}
+        dropped = self.truncated or any(s.truncated for s in images)
+        for key, c in self.coeffs.items():
+            exponents = exponents_of(key)
+            floor = 0
+            for e, v, image in zip(exponents, valuations, images):
+                if e:
+                    if v is INF:  # a power of zero: the term vanishes
+                        floor = None
+                        dropped = dropped or image.truncated
+                        break
+                    floor += e * v
+            if floor is None:
+                continue
+            if floor > order:
+                dropped = True
+                continue
+            prod = one
+            for e, image, ladder in zip(exponents, images, ladders):
+                if e:  # a factor image^0 = 1 would only copy prod
+                    while len(ladder) <= e:
+                        ladder.append(ladder[-1] * image)
+                    prod = ladder[e] if prod is one else prod * ladder[e]
+            if prod.truncated:
+                dropped = True
+            for pkey, pc in prod.coeffs.items():
+                if degree(pkey) > order:
+                    dropped = True
+                    continue
+                _merge_term(ring, acc, pkey, ring.mul(c, pc))
+        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
+        return first._like(order, acc, dropped)
+
+
+class Series2(_Series):
+    """Truncated power series in two ordered variables; x^i*y^j has the
+    key (i, j)."""
+
+    __slots__ = ("variables",)
+    _NAMES = "variables"
+    _CONSTANT = (0, 0)
+    _VARIABLES = ((1, 0), (0, 1))
+    _MIXED = "mixed variable sets %r vs %r"
+    _SUBSTITUTION = ("substitution",
+                     "substituting a valuation-0 series into a truncated series")
+
+    @staticmethod
+    def _checked_names(variables):
+        variables = tuple(variables)
+        if len(variables) != 2 or variables[0] == variables[1]:
+            raise ValueError("Series2 needs two distinct variable names")
+        return variables
+
+    def _names(self):
+        return self.variables
+
+    @staticmethod
+    def _checked_key(key):
+        i, j = key
+        if i < 0 or j < 0:
+            raise ValueError("negative exponent in series construction")
+        return (int(i), int(j)), i + j
+
+    _key = staticmethod(lambda i, j: (i, j))
+    _exponents = staticmethod(lambda key: key)
+    _degree = staticmethod(lambda key: key[0] + key[1])
+    _add_keys = staticmethod(lambda a, b: (a[0] + b[0], a[1] + b[1]))
+    _sub_keys = staticmethod(lambda a, b: (a[0] - b[0], a[1] - b[1]))
+    _monomials = staticmethod(lambda d: [(i, d - i) for i in range(d, -1, -1)])
 
     def substitute(self, ex: "Series2", ey: "Series2", cache=None) -> "Series2":
         """Evaluate the series at (ex, ey).
@@ -332,54 +446,22 @@ class Series2:
         (ex, ey) pair; it stores the power ladders.
         """
         ex._check_compat(ey)
-        if ex.ring != self.ring:
-            raise ValueError("mixed coefficient rings in substitution")
-        ring = self.ring
-        vx = ex.valuation()
-        vy = ey.valuation()
-        if self.truncated and ((vx == 0 and self.degree_in(0) > 0)
-                               or (vy == 0 and self.degree_in(1) > 0)):
-            raise PrecisionError(
-                "substituting a valuation-0 series into a truncated series")
-        order = min(self.order, ex.order, ey.order)
-        if cache is None:
-            cache = {}
-        one = Series2.constant(ring, ex.variables, min(ex.order, ey.order), 1)
-        px = cache.setdefault("px", [one])
-        py = cache.setdefault("py", [one])
-        acc = {}
-        dropped = self.truncated or ex.truncated or ey.truncated
-        for (i, j), c in self.coeffs.items():
-            floor = 0
-            if i:
-                if vx is INF:
-                    if ex.truncated:
-                        dropped = True
-                    continue
-                floor += i * vx
-            if j:
-                if vy is INF:
-                    if ey.truncated:
-                        dropped = True
-                    continue
-                floor += j * vy
-            if floor > order:
-                dropped = True
-                continue
-            while len(px) <= i:
-                px.append(px[-1] * ex)
-            while len(py) <= j:
-                py.append(py[-1] * ey)
-            prod = px[i] * py[j]
-            if prod.truncated:
-                dropped = True
-            for key, pc in prod.coeffs.items():
-                if key[0] + key[1] > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, key, ring.mul(c, pc))
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series2._raw(ring, ex.variables, order, acc, dropped)
+        return self._substitute((ex, ey), cache)
+
+    def degree_in(self, index: int):
+        if not self.coeffs:
+            return -1
+        return max(key[index] for key in self.coeffs)
+
+    def min_exponent(self, index: int):
+        """Smallest exponent of one variable across the support; INF if zero."""
+        if not self.coeffs:
+            return INF
+        return min(key[index] for key in self.coeffs)
+
+    def homogeneous_part(self, k: int) -> "Series2":
+        part = {key: c for key, c in self.coeffs.items() if key[0] + key[1] == k}
+        return self._like(self.order, part, self.truncated)
 
     def restrict_first_zero(self) -> "Series1":
         """The one-variable series s(0, second variable)."""
@@ -393,278 +475,39 @@ class Series2:
                             self.order, acc, self.truncated)
 
 
-class Series1:
-    """Truncated power series in a single variable."""
+class Series1(_Series):
+    """Truncated power series in a single variable; x^k has the key k."""
 
-    __slots__ = ("ring", "variable", "order", "coeffs", "truncated")
+    __slots__ = ("variable",)
+    _NAMES = "variable"
+    _CONSTANT = 0
+    _VARIABLES = (1,)
+    _MIXED = "mixed variables %r vs %r"
+    _SUBSTITUTION = ("composition",
+                     "composing a truncated series with a valuation-0 series")
+    _checked_names = staticmethod(lambda variable: variable)
+    _key = staticmethod(lambda k: k)
+    _exponents = staticmethod(lambda k: (k,))
+    _degree = staticmethod(lambda k: k)
+    _add_keys = staticmethod(operator.add)
+    _sub_keys = staticmethod(operator.sub)
+    _monomials = staticmethod(lambda d: (d,))
 
-    def __init__(self, ring, variable, order, coeffs=None, *, truncated=False):
-        if not isinstance(order, int) or order < 0:
-            raise ValueError("truncation order must be a nonnegative integer")
-        clean = {}
-        dropped = False
-        for k, value in (coeffs or {}).items():
-            if k < 0:
-                raise ValueError("negative exponent in series construction")
-            value = ring.coerce(value)
-            if ring.is_zero(value):
-                continue
-            if k > order:
-                dropped = True
-                continue
-            clean[int(k)] = value
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "truncated", bool(truncated or dropped))
+    def _names(self):
+        return (self.variable,)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Series1 is immutable")
+    @staticmethod
+    def _checked_key(k):
+        if k < 0:
+            raise ValueError("negative exponent in series construction")
+        return int(k), k
 
-    @classmethod
-    def _raw(cls, ring, variable, order, coeffs, truncated):
-        out = object.__new__(cls)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "variable", variable)
-        object.__setattr__(out, "order", order)
-        object.__setattr__(out, "coeffs", coeffs)
-        object.__setattr__(out, "truncated", truncated)
-        return out
-
-    @classmethod
-    def zero(cls, ring, variable, order):
-        return cls(ring, variable, order)
-
-    @classmethod
-    def constant(cls, ring, variable, order, value):
-        return cls(ring, variable, order, {0: value})
-
-    @classmethod
-    def monomial(cls, ring, variable, order, exponent, value=1):
-        return cls(ring, variable, order, {exponent: value})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int):
-        return self.coeffs.get(k, self.ring.zero)
-
-    def valuation(self):
-        if not self.coeffs:
-            return INF
-        return min(self.coeffs)
-
-    def degree(self):
-        if not self.coeffs:
-            return -1
-        return max(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        if self.ring != other.ring or self.variable != other.variable:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        ring = self.ring
-        return all(ring.eq(self.coefficient(k), other.coefficient(k)) for k in keys)
-
-    __hash__ = None
-
-    def format(self) -> str:
-        if not self.coeffs:
-            return "0"
-        ring = self.ring
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            text = ring.format_coeff(c)
-            if k:
-                mono = self.variable if k == 1 else "%s^%d" % (self.variable, k)
-                if text == "1":
-                    text = mono
-                elif text == "-1":
-                    text = "-" + mono
-                else:
-                    if "+" in text[1:] or "-" in text[1:] or " " in text:
-                        text = "(" + text + ")"
-                    text = text + "*" + mono
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        return "Series1(%s; %s; order=%d%s)" % (
-            self.variable, self.format(), self.order,
-            ", truncated" if self.truncated else "")
-
-    def _check_compat(self, other):
-        if not isinstance(other, Series1):
-            raise TypeError("expected a Series1 operand")
-        if self.ring != other.ring:
-            raise ValueError("mixed coefficient rings")
-        if self.variable != other.variable:
-            raise ValueError("mixed variables %r vs %r"
-                             % (self.variable, other.variable))
-
-    def __add__(self, other):
-        self._check_compat(other)
-        ring = self.ring
-        order = min(self.order, other.order)
-        acc = {}
-        dropped = self.truncated or other.truncated
-        for source in (self.coeffs, other.coeffs):
-            for k, value in source.items():
-                if k > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, k, value)
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series1._raw(ring, self.variable, order, acc, dropped)
-
-    def __neg__(self):
-        ring = self.ring
-        acc = {k: ring.neg(v) for k, v in self.coeffs.items()}
-        return Series1._raw(ring, self.variable, self.order, acc, self.truncated)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check_compat(other)
-        ring = self.ring
-        order = min(self.order, other.order)
-        acc = {}
-        dropped = self.truncated or other.truncated
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                if k > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, k, ring.mul(c1, c2))
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series1._raw(ring, self.variable, order, acc, dropped)
-
-    def scale(self, value) -> "Series1":
-        ring = self.ring
-        value = ring.coerce(value)
-        if ring.is_zero(value):
-            return Series1._raw(ring, self.variable, self.order, {}, self.truncated)
-        acc = {k: ring.mul(v, value) for k, v in self.coeffs.items()}
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series1._raw(ring, self.variable, self.order, acc, self.truncated)
-
-    def truncate(self, order: int) -> "Series1":
-        if order >= self.order:
-            return self
-        acc = {}
-        dropped = self.truncated
-        for k, value in self.coeffs.items():
-            if k > order:
-                dropped = True
-            else:
-                acc[k] = value
-        return Series1._raw(self.ring, self.variable, order, acc, dropped)
-
-    def derive(self) -> "Series1":
-        ring = self.ring
-        order = max(self.order - 1, 0)
-        acc = {}
-        for k, c in self.coeffs.items():
-            if k == 0:
-                continue
-            acc[k - 1] = ring.mul(c, ring.coerce(k))
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return Series1._raw(ring, self.variable, order, acc, self.truncated)
-
-    def divide_monomial(self, exponent: int) -> "Series1":
-        ring = self.ring
-        acc = {}
-        for k, c in self.coeffs.items():
-            if k < exponent:
-                raise MathError("series is not divisible by the monomial")
-            acc[k - exponent] = c
-        order = self.order - exponent
-        if order < 0:
-            raise PrecisionError("monomial division exhausts the truncation order")
-        return Series1._raw(ring, self.variable, order, acc, self.truncated)
-
-    def inverse_unit(self) -> "Series1":
-        """Multiplicative inverse of a unit, one degree at a time:
-        v_0 = 1/u_0 and v_n = -v_0 * sum_{k>=1} u_k v_(n-k)."""
-        ring = self.ring
-        inv0 = ring.invert(self.coefficient(0))  # raises on non-units
-        tail = sorted((k, c) for k, c in self.coeffs.items() if k)
-        if not tail:
-            return Series1._raw(ring, self.variable, self.order, {0: inv0},
-                                self.truncated)
-        neg0 = ring.neg(inv0)
-        inv = {0: inv0}
-        for n in range(1, self.order + 1):
-            acc = None
-            for k, c in tail:
-                if k > n:
-                    break
-                v = inv.get(n - k)
-                if v is None:
-                    continue
-                term = ring.mul(c, v)
-                acc = term if acc is None else ring.add(acc, term)
-            if acc is not None:
-                acc = ring.mul(neg0, acc)
-                if not ring.is_zero(acc):
-                    inv[n] = acc
-        return Series1._raw(ring, self.variable, self.order, inv, True)
-
-    def divide(self, divisor: "Series1") -> "Series1":
-        self._check_compat(divisor)
-        if len(divisor.coeffs) == 1:
-            (k, c), = divisor.coeffs.items()
-            return self.divide_monomial(k).scale(self.ring.invert(c))
-        if divisor.is_zero():
-            raise NotInvertibleError("division by the zero series")
-        return self * divisor.inverse_unit()
+    derive = partialmethod(_Series.derive, 0)
 
     def compose(self, inner: "Series1", cache=None) -> "Series1":
         """self(inner); inner must have positive valuation unless self is
         an exact polynomial."""
-        if inner.ring != self.ring:
-            raise ValueError("mixed coefficient rings in composition")
-        ring = self.ring
-        v = inner.valuation()
-        if self.truncated and v == 0 and self.degree() > 0:
-            raise PrecisionError(
-                "composing a truncated series with a valuation-0 series")
-        order = min(self.order, inner.order)
-        if cache is None:
-            cache = {}
-        one = Series1.constant(ring, inner.variable, inner.order, 1)
-        ladder = cache.setdefault("p", [one])
-        acc = {}
-        dropped = self.truncated or inner.truncated
-        for k, c in self.coeffs.items():
-            if k and v is INF:
-                if inner.truncated:
-                    dropped = True
-                continue
-            if k and k * v > order:
-                dropped = True
-                continue
-            while len(ladder) <= k:
-                ladder.append(ladder[-1] * inner)
-            prod = ladder[k]
-            if prod.truncated:
-                dropped = True
-            for key, pc in prod.coeffs.items():
-                if key > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, key, ring.mul(c, pc))
-        acc = {k: v2 for k, v2 in acc.items() if not ring.is_zero(v2)}
-        return Series1._raw(ring, inner.variable, order, acc, dropped)
+        return self._substitute((inner,), cache)
 
     def translate(self, value) -> "Series1":
         """Substitute variable -> variable + value (exact polynomials only
@@ -690,8 +533,7 @@ class Series1:
         g = {1: lam_inv}
         if not tail:
             # a linear map has an exact linear inverse
-            return Series1._raw(ring, self.variable, self.order, g,
-                                self.truncated)
+            return self._like(self.order, g, self.truncated)
         neg_inv = ring.neg(lam_inv)
         powers = [None, g] + [{} for _ in range(tail[-1][0] - 1)]
         for n in range(2, self.order + 1):
@@ -722,7 +564,7 @@ class Series1:
                 if not ring.is_zero(acc):
                     g[n] = acc
         # a nonlinear map has an infinite inverse: the result is truncated
-        return Series1._raw(ring, self.variable, self.order, g, True)
+        return self._like(self.order, g, True)
 
     def as_polynomial_coeffs(self) -> list:
         """Dense coefficient list [c0, c1, ...] up to the stored degree."""

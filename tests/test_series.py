@@ -1,5 +1,5 @@
 """Truncated series arithmetic: ring laws, truncation bookkeeping,
-substitution semantics and division round trips."""
+substitution semantics, division round trips and operand checks."""
 
 from __future__ import annotations
 
@@ -250,3 +250,38 @@ def test_equality_ignores_order():
     b = s2({(1, 1): 1}, order=9)
     assert a == b
     assert a != s2({(1, 1): 2}, order=5)
+
+
+def test_mixed_arity_operands_raise_type_error():
+    one = s1({0: 1, 1: 2})
+    two = s2({(0, 0): 1, (1, 0): 2})
+    with pytest.raises(TypeError, match="expected a Series1 operand"):
+        one + two
+    with pytest.raises(TypeError, match="expected a Series2 operand"):
+        two * one
+    with pytest.raises(TypeError):
+        two.divide(one)
+    with pytest.raises(TypeError):
+        one.compose(two)
+    with pytest.raises(TypeError):
+        two.substitute(one, one)
+    assert (one == two) is False
+    assert (two == one) is False
+    assert one != two
+
+
+def test_mixed_rings_and_variables_raise_value_error():
+    param = ParamPolyRing("b")
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        s1({0: 1}) + s1({0: 1}, ring=param)
+    with pytest.raises(ValueError, match="mixed coefficient rings"):
+        s2({(0, 0): 1}) * s2({(0, 0): 1}, ring=param)
+    with pytest.raises(ValueError, match="mixed variables 'x' vs 'y'"):
+        s1({1: 1}) + s1({1: 1}, variable="y")
+    with pytest.raises(ValueError, match="mixed variable sets"):
+        s2({(1, 0): 1}) * s2({(1, 0): 1}, variables=XZ)
+    with pytest.raises(ValueError, match="mixed coefficient rings in composition"):
+        s1({1: 1}).compose(s1({1: 1}, ring=param))
+    x = Series2.monomial(param, XZ, 10, (1, 0))
+    with pytest.raises(ValueError, match="mixed coefficient rings in substitution"):
+        s2({(1, 0): 1}).substitute(x, x)

@@ -1,12 +1,12 @@
-"""Property tests of the one-pass unit inverse and of the Camacho-Sad
-index, which reads only low degrees of that inverse, over random series
-in all three rings."""
+"""Property tests of the one-pass unit inverse, of the Camacho-Sad index,
+which reads only low degrees of that inverse, and of the agreement of the
+one- and two-variable series, over random series in all three rings."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfol.errors import NotInvertibleError
+from pdfol.errors import NotInvertibleError, PdfolError
 from pdfol.forms import PlaneVectorField, cs_index
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
@@ -146,3 +146,75 @@ def test_cs_index_matches_full_order_formula(case):
         field = PlaneVectorField(p1, p2)
         assert ring.eq(cs_index(field, root),
                        cs_index_full_order(field, root)), ring.name
+
+
+@st.composite
+def one_variable_cases(draw):
+    """Two series and a substituent of order >= 1 as (order, terms,
+    truncated flag) data, with a scalar, a truncation order and a monomial
+    exponent.  Keys reach past the order, so construction truncates too."""
+    def data(lowest):
+        order = draw(st.integers(lowest, 8))
+        terms = st.tuples(st.builds(rational, NONZERO, st.integers(1, 3)),
+                          st.integers(0, 2))
+        return (order, draw(st.dictionaries(st.integers(0, order + 2), terms,
+                                            min_size=1, max_size=6)),
+                draw(st.booleans()))
+    scalar = rational(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    return (data(0), data(0), data(1), scalar, draw(st.integers(0, 9)),
+            draw(st.integers(0, 4)))
+
+
+def embedded(ring, data):
+    """The same data as a Series1 in z and in the z slot of a Series2."""
+    order, tail, truncated = data
+    coeffs = {k: coefficient(ring, q, e) for k, (q, e) in tail.items()}
+    return (Series1(ring, "z", order, coeffs, truncated=truncated),
+            Series2(ring, XZ, order, {(0, k): c for k, c in coeffs.items()},
+                    truncated=truncated))
+
+
+def outcome(operation):
+    try:
+        return operation()
+    except PdfolError as exc:
+        return type(exc)
+
+
+@PROPERTY
+@given(one_variable_cases())
+def test_one_and_two_variables_agree(case):
+    """Every shared operation gives a Series2 result whose z slot is the
+    Series1 result: same coefficients, order, truncation flag and error."""
+    a_data, b_data, t_data, scalar, cut, k = case
+    for ring in RINGS:
+        (a1, a2), (b1, b2), (t1, t2) = (embedded(ring, d)
+                                        for d in (a_data, b_data, t_data))
+        x = Series2.monomial(ring, XZ, t2.order, (1, 0))
+        c = ring.from_rational(scalar)
+        pairs = {
+            "+": (lambda: a1 + b1, lambda: a2 + b2),
+            "-": (lambda: a1 - b1, lambda: a2 - b2),
+            "*": (lambda: a1 * b1, lambda: a2 * b2),
+            "scale": (lambda: a1.scale(c), lambda: a2.scale(c)),
+            "truncate": (lambda: a1.truncate(cut), lambda: a2.truncate(cut)),
+            "derive": (lambda: a1.derive(), lambda: a2.derive(1)),
+            "divide_monomial": (lambda: a1.divide_monomial(k),
+                                lambda: a2.divide_monomial((0, k))),
+            "inverse_unit": (lambda: a1.inverse_unit(),
+                             lambda: a2.inverse_unit()),
+            "divide": (lambda: a1.divide(b1), lambda: a2.divide(b2)),
+            "compose": (lambda: a1.compose(t1), lambda: a2.substitute(x, t2)),
+        }
+        for name, (one_variable, two_variables) in pairs.items():
+            one, two = outcome(one_variable), outcome(two_variables)
+            where = (name, ring.name)
+            if isinstance(one, type):
+                assert two is one, where
+                continue
+            assert not isinstance(two, type), where
+            assert all(i == 0 for i, _ in two.coeffs), where
+            back = two.restrict_first_zero()
+            assert back.coeffs == one.coeffs, where
+            assert (back.order, back.truncated) == (one.order, one.truncated), \
+                where
