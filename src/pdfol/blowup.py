@@ -31,11 +31,19 @@ from .series import INF, Series1, Series2
 
 
 def _remap(series: Series2, image, variables, order) -> Series2:
+    """The series with each key sent through ``image``, cut at ``order``.
+    The coefficients are valid ring elements already, so they are kept
+    as they are; a key cut off makes the result truncated."""
     acc = {}
+    dropped = series.truncated
     for key, c in series.coeffs.items():
-        acc[image(key)] = c
-    return Series2(series.ring, variables, order, acc,
-                   truncated=series.truncated)
+        key = image(key)
+        if key[0] + key[1] > order:
+            dropped = True
+        else:
+            acc[key] = c
+    return Series2._raw(series.ring, Series2._checked_names(variables), order,
+                        acc, dropped)
 
 
 def _exact(omega: OneForm2) -> bool:
@@ -269,7 +277,7 @@ def singular_points_on_divisor(result: BlowupResult):
     marker = [DivisorPoint(None, 0, corner=True)]
     omega = result.divisor_first()
     ring = omega.ring
-    q = (-omega.a).restrict_first_zero()
+    q = -omega.a.restrict_first_zero()
     if result.dicritical:
         tangential = omega.b.restrict_first_zero()
         if q.is_zero():

@@ -18,7 +18,6 @@ import cmath
 from dataclasses import dataclass
 
 import mpmath
-from scipy.integrate import solve_ivp
 
 from .errors import InputError, MathError, PrecisionError
 from .forms import OneForm2
@@ -276,6 +275,9 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
     dx/dz = -b(x, z)/a(x, z) is integrated once around with an adaptive
     high-order Runge-Kutta pair.  Returns the end values.
     """
+    # scipy is most of the package's import time, and only this uses it
+    from scipy.integrate import solve_ivp
+
     a_terms = [(i, j, _to_complex(c)) for (i, j), c in omega.a.coeffs.items()]
     b_terms = [(i, j, _to_complex(c)) for (i, j), c in omega.b.coeffs.items()]
     if not a_terms:

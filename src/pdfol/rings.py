@@ -87,13 +87,20 @@ class ParamPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         if is_rational(coeffs):
             coeffs = (coeffs,)
-        cs = [rational(c) for c in coeffs]
+        return cls._raw([rational(c) for c in coeffs])
+
+    @classmethod
+    def _raw(cls, cs):
+        """A polynomial from a list of rationals, with no coercion: for
+        results of arithmetic on coefficients that are rationals already."""
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(cs))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -139,12 +146,12 @@ class ParamPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] = out[k] + c
-        return ParamPoly(out)
+        return ParamPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly([-c for c in self.coeffs])
+        return ParamPoly._raw([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -171,7 +178,7 @@ class ParamPoly:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
-        return ParamPoly(out)
+        return ParamPoly._raw(out)
 
     __rmul__ = __mul__
 

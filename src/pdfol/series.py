@@ -344,7 +344,9 @@ class _Series:
         """Evaluate the series with variable n replaced by ``images[n]``.
 
         ``cache`` holds the power ladder of each image between calls that
-        share the images."""
+        share the images.  An image that is exactly its own variable (one
+        key, coefficient ``== ring.one``) builds no ladder: its power only
+        shifts the keys of the other factors' product."""
         first = images[0]
         if not isinstance(first, type(self)):
             raise TypeError("expected a %s operand" % type(self).__name__)
@@ -363,7 +365,11 @@ class _Series:
             cache = {}
         one = first._like(min(orders), {first._CONSTANT: ring.coerce(1)}, False)
         ladders = [cache.setdefault(n, [one]) for n in range(len(images))]
+        # native ==, not ring.eq: a float 1 + 1e-12 must still multiply
+        bare = [image.coeffs == {var: ring.one}
+                for image, var in zip(images, self._VARIABLES)]
         degree, exponents_of = first._degree, self._exponents
+        key_of, add_keys = self._key, self._add_keys
         acc = {}
         dropped = self.truncated or any(s.truncated for s in images)
         for key, c in self.coeffs.items():
@@ -382,14 +388,18 @@ class _Series:
                 dropped = True
                 continue
             prod = one
-            for e, image, ladder in zip(exponents, images, ladders):
-                if e:  # a factor image^0 = 1 would only copy prod
+            for e, image, ladder, b in zip(exponents, images, ladders, bare):
+                # a factor image^0 = 1 would only copy prod; a bare
+                # variable's power is the key shift below
+                if e and not b:
                     while len(ladder) <= e:
                         ladder.append(ladder[-1] * image)
                     prod = ladder[e] if prod is one else prod * ladder[e]
             if prod.truncated:
                 dropped = True
+            shift = key_of(*[e if b else 0 for e, b in zip(exponents, bare)])
             for pkey, pc in prod.coeffs.items():
+                pkey = add_keys(pkey, shift)
                 if degree(pkey) > order:
                     dropped = True
                     continue

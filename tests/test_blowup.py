@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pdfol import blowup
 from pdfol.blowup import (BlowupResult, blowup_chain, blowup_chart1,
                           blowup_chart2, macro_chart1, recenter,
                           roots_series1, singular_at_origin,
@@ -288,3 +289,49 @@ def test_complex_ring_blowup():
     pts = finite(singular_points_on_divisor(path.steps[-1]))
     locs = sorted(float(abs(pt.location)) for pt in pts)
     assert abs(locs[0] - 0.5) < 1e-9 and abs(locs[1] - 2.0) < 1e-9
+
+
+def remap_by_constructor(series, image, variables, order):
+    """The chart remap through the Series2 constructor, which coerces and
+    zero-tests every coefficient and drops the keys past the order."""
+    return Series2(series.ring, variables, order,
+                   {image(key): c for key, c in series.coeffs.items()},
+                   truncated=series.truncated)
+
+
+@pytest.mark.parametrize("ring", [QQ, ComplexApprox(), ParamPolyRing("b")],
+                         ids=lambda ring: ring.name)
+@pytest.mark.parametrize("shape", ["exact", "flagged", "past_order"])
+def test_chart_remap_matches_constructor(monkeypatch, ring, shape):
+    """Both charts and the one-shot chart give the coefficients, in the same
+    order, the order and the truncated flag of the constructor path: on an
+    exact form, a form flagged truncated, and a truncated form whose
+    remapped keys pass the order (a truncated form keeps its order)."""
+    c = ring.coerce(rational(-5, 3))
+    if ring.name == "param":
+        c = ring.mul(c, ring.add(ring.one, ring.generator))
+    order = 4 if shape == "past_order" else 9
+    a = poly(order, {(3, 0): 4, (1, 2): c, (0, 4): 1}, ring)
+    b = poly(order, {(0, 1): 2, (2, 0): c, (3, 1): 1, (1, 3): c}, ring)
+    if shape != "exact":
+        a = Series2(ring, a.variables, order, a.coeffs, truncated=True)
+    omega = OneForm2(a, b)
+
+    def charts():
+        return [blowup_chart1(omega).form, blowup_chart2(omega).form,
+                macro_chart1(omega, 2)[0]]
+
+    got = charts()
+    monkeypatch.setattr(blowup, "_remap", remap_by_constructor)
+    want = charts()
+    for g, w in zip(got, want):
+        for gs, ws in ((g.a, w.a), (g.b, w.b)):
+            assert list(gs.coeffs.items()) == list(ws.coeffs.items())
+            assert (gs.order, gs.truncated) == (ws.order, ws.truncated)
+            assert gs.variables == ws.variables
+    if shape == "past_order":
+        assert any(f.a.truncated for f in got)
+        assert not b.truncated
+        zb1 = blowup._remap(b, lambda ij: (ij[0] + ij[1], ij[1] + 1),
+                            ("x", "z"), order)
+        assert zb1.truncated and list(zb1.coeffs) == [(1, 2), (2, 1)]

@@ -1,10 +1,14 @@
 """Formal diffeomorphism algebra, holonomy generators, numeric transport."""
 
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import pdfol
 from pdfol.errors import InputError, MathError
 from pdfol.forms import OneForm2, cs_index, dual
 from pdfol.holonomy import (FormalDiffeo1, VectorField1, commutes_with_scaling,
@@ -278,3 +282,13 @@ def test_commutator_dichotomy():
     assert is_identity(group_commutator(gm.h1, gm.h2))
     gm = group_model(3, 2, model_field(2, 12), 12)
     assert not is_identity(group_commutator(gm.h1, gm.h2))
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only numeric_holonomy needs scipy, and it imports it when called."""
+    src = os.path.dirname(os.path.dirname(pdfol.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, pdfol; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

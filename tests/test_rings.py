@@ -171,3 +171,26 @@ def test_ring_equality_keys():
     assert ComplexApprox() == ComplexApprox()
     assert ComplexApprox(precision=80) != ComplexApprox()
     assert ParamPolyRing("b") != ParamPolyRing("c")
+
+
+def test_param_poly_results_carry_no_trailing_zeros():
+    rng = random.Random(6)
+    rational_type = type(rational(0))
+    for _ in range(200):
+        a, b = random_param_poly(rng), random_param_poly(rng)
+        for value in (a + b, a - b, a * b, -a, a + (-a), (a - b) * (b - a)):
+            assert not value.coeffs or value.coeffs[-1] != 0
+            assert all(type(c) is rational_type for c in value.coeffs)
+
+
+def test_param_poly_cancellation_is_canonical():
+    b = PB.generator
+    one = (1 + b) + (-b)
+    assert one == ParamPoly((1,))
+    assert one.coeffs == ParamPoly((1,)).coeffs
+    assert hash(one) == hash(ParamPoly((1,)))
+    zero = ParamPoly()
+    for value in (-zero, (1 + b) * zero, zero * (1 + b), (1 + b) * 0,
+                  b - b):
+        assert value == zero and value.coeffs == ()
+        assert hash(value) == hash(zero)

@@ -1,12 +1,13 @@
 """Property tests of the one-pass unit inverse, of the Camacho-Sad index,
-which reads only low degrees of that inverse, and of the agreement of the
-one- and two-variable series, over random series in all three rings."""
+which reads only low degrees of that inverse, of the agreement of the
+one- and two-variable series, and of substitutions whose images are bare
+variables, over random series in all three rings."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdfol.errors import NotInvertibleError, PdfolError
+from pdfol.errors import NotInvertibleError, PdfolError, PrecisionError
 from pdfol.forms import PlaneVectorField, cs_index
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
@@ -218,3 +219,128 @@ def test_one_and_two_variables_agree(case):
             assert back.coeffs == one.coeffs, where
             assert (back.order, back.truncated) == (one.order, one.truncated), \
                 where
+
+
+def substitute_by_products(series, images, one):
+    """The substitution with every power formed by explicit products:
+    image^e is e products from ``one``, a term's nonconstant factors
+    multiply in variable order, and each product's terms merge in its own
+    order.  ``series`` keys are exponent tuples or ints."""
+    ring = series.ring
+    terms = [(key if isinstance(key, tuple) else (key,), c)
+             for key, c in series.coeffs.items()]
+    if series.truncated and any(
+            e and image.valuation() == 0
+            for exponents, _ in terms for e, image in zip(exponents, images)):
+        raise PrecisionError("a valuation-0 image of a truncated series")
+    order = min(series.order, *(image.order for image in images))
+    dropped = series.truncated or any(image.truncated for image in images)
+    acc = {}
+    for exponents, c in terms:
+        factors = [(e, image) for e, image in zip(exponents, images) if e]
+        if any(image.is_zero() for _, image in factors):
+            continue  # a power of zero: the term vanishes
+        if sum(e * image.valuation() for e, image in factors) > order:
+            dropped = True
+            continue
+        prod = one
+        for e, image in factors:
+            power = one
+            for _ in range(e):
+                power = power * image
+            prod = power if prod is one else prod * power
+        dropped = dropped or prod.truncated
+        for pkey, pc in prod.coeffs.items():
+            if sum(pkey if isinstance(pkey, tuple) else (pkey,)) > order:
+                dropped = True
+                continue
+            term = ring.mul(c, pc)
+            acc[pkey] = ring.add(acc[pkey], term) if pkey in acc else term
+    return order, dropped, [(k, v) for k, v in acc.items()
+                            if not ring.is_zero(v)]
+
+
+ALMOST_ONE = rational(10 ** 12 + 1, 10 ** 12)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A series (order, constant, tail, truncated) and, per variable, an
+    image: its own variable times 1 ("bare") or times 1 + 1e-12 ("almost"),
+    or a random series, each with its own order and truncated flag.
+    Image orders fall below the series order as often as above it.  Keys
+    stay low, so that many series are exact polynomials and the flag
+    comes from the substitution alone."""
+    keys = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+
+    order = draw(st.integers(0, 6))
+
+    def image(own):
+        kind = draw(st.sampled_from(("bare", "bare", "almost", "series")))
+        image_order = max(0, order + draw(st.integers(-2, 2)))
+        truncated = draw(st.booleans())
+        if kind == "series":
+            constant = draw(st.sampled_from((None, None, rational(1, 2))))
+            tail = draw(tails(keys))
+            tail[own] = tail.get(own, (rational(draw(NONZERO)), 0))
+            return kind, image_order, truncated, constant, tail
+        return kind, image_order, truncated, None, {}
+    series = (order, draw(st.sampled_from((None, rational(3)))),
+              draw(tails(keys)), draw(st.booleans()))
+    return series, image((1, 0)), image((0, 1))
+
+
+def build_image(ring, data, own, build):
+    """The image ``data`` describes; ``own`` is the key of its variable."""
+    kind, order, truncated, constant, tail = data
+    if kind != "series":
+        tail = {own: (rational(1) if kind == "bare" else ALMOST_ONE, 0)}
+    return build(ring, order, constant, tail, truncated)
+
+
+def same_substitution(got, want, where):
+    if isinstance(want, type):
+        assert got is want, where
+        return
+    assert not isinstance(got, type), where
+    order, truncated, items = want
+    # native ==: a float result must match bit for bit, not within tol
+    assert list(got.coeffs.items()) == items, where
+    assert (got.order, got.truncated) == (order, truncated), where
+
+
+@PROPERTY
+@given(substitution_cases())
+# exact data whose ladder product overflows the image order
+@example(((4, None, {(0, 2): (1, 0)}, False), ("bare", 4, False, None, {}),
+          ("series", 2, False, None, {(0, 1): (1, 0), (0, 2): (1, 0)})))
+# a series order below both image orders: the degree cut drops z^2
+@example(((1, None, {(0, 1): (1, 0), (1, 0): (1, 0)}, False),
+          ("bare", 3, False, None, {}),
+          ("series", 3, False, None, {(0, 1): (1, 0), (0, 2): (1, 0)})))
+def test_bare_variable_images_shift_keys(case):
+    """A substitution whose image is its own variable gives what explicit
+    products of the power ladders give: the same coefficients (compared
+    with native ==) in the same merge order, order and truncated flag.
+    An image (1 + 1e-12)*x is not bare and still multiplies."""
+    series_data, x_data, z_data = case
+    for ring in RINGS:
+        s = build2(ring, *series_data)
+        images = (build_image(ring, x_data, (1, 0), build2),
+                  build_image(ring, z_data, (0, 1), build2))
+        one = Series2.constant(ring, XZ, min(i.order for i in images), 1)
+        same_substitution(outcome(lambda: s.substitute(*images)),
+                          outcome(lambda: substitute_by_products(
+                              s, images, one)), ring.name)
+        # one variable: the same data with x^i*z^j read as z^(i+j)
+        order, u0, tail, truncated = series_data
+        s1 = build1(ring, order, u0, {i + j: t for (i, j), t in tail.items()},
+                    truncated)
+        kind, img_order, img_truncated, constant, img_tail = x_data
+        img_tail = {i + j: t for (i, j), t in img_tail.items()}
+        inner = build_image(ring, (kind, img_order, img_truncated, constant,
+                                   img_tail), 1, build1)
+        one1 = Series1.constant(ring, "z", inner.order, 1)
+        same_substitution(outcome(lambda: s1.compose(inner)),
+                          outcome(lambda: substitute_by_products(
+                              s1, (inner,), one1)), ring.name)
