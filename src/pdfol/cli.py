@@ -7,6 +7,7 @@ set default truncation order and float mantissa bits; explicit flags win.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -36,6 +37,7 @@ _NEGATIVE_VALUE = re.compile(
     r"^-\d+(/\d+)?$|^-\d*\.\d+([eE][+-]?\d+)?$|^-\d+[eE][+-]?\d+$")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--expr", help="1-form expression text")
@@ -322,9 +324,7 @@ def _report_document(args, text):
         "holonomy": None,
     }
     if classification.m is not None:
-        data = parse_prenormal(expr.form)
-        p, m = data.p, classification.m
-        path = blowup_chain(expr.form, p)
+        p, m, path = classification.p, classification.m, classification.path
         canonical["reduction"] = {
             "labels": list(path.labels),
             "self_intersections": encode(list(path.self_intersections)),

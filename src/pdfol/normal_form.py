@@ -93,6 +93,24 @@ def to_fibered_field(omega: OneForm2, m: int, order: int | None = None) -> Fiber
     return FiberedField(m, tail)
 
 
+def _times(like: Series2, order: int, terms, truncated: bool) -> Series2:
+    """The series of c*f over (key, c, f) terms as the constructor builds
+    it, with each distinct factor f coerced once and no value again."""
+    ring = like.ring
+    factors = {}
+    acc = {}
+    for key, c, f in terms:
+        if f not in factors:
+            factors[f] = ring.coerce(f)
+        value = ring.mul(c, factors[f])
+        if not ring.is_zero(value):
+            if key[0] + key[1] > order:
+                truncated = True
+            else:
+                acc[key] = value
+    return Series2._raw(ring, like.variables, order, acc, truncated)
+
+
 def homological_step(a_k: Series2, m: int, k: int):
     """Solve (i + m(j-1))*phi_ij = -a_ij on the degree-k slice.
 
@@ -100,32 +118,30 @@ def homological_step(a_k: Series2, m: int, k: int):
     vanishes and therefore cannot be removed; for k = m that is exactly
     the x^m term."""
     ring = a_k.ring
-    phi = {}
+    phi = []
     kept = {}
     for (i, j), c in a_k.coeffs.items():
         if i + j != k:
             raise MathError("homological step expects a homogeneous slice")
         div = i + m * (j - 1)
-        if div == 0:
+        if div:
+            phi.append(((i, j), c, rational(-1, div)))
+        elif not ring.is_zero(c):
             kept[(i, j)] = c
-        else:
-            phi[(i, j)] = ring.mul(c, ring.coerce(rational(-1, div)))
-    return (Series2(ring, a_k.variables, k, phi),
-            Series2(ring, a_k.variables, k, kept))
+    return (_times(a_k, k, phi, False),
+            Series2._raw(ring, a_k.variables, k, kept, False))
 
 
 def _x_dx(phi: Series2, order: int) -> Series2:
-    ring = phi.ring
-    acc = {(i, j): ring.mul(c, ring.coerce(i))
-           for (i, j), c in phi.coeffs.items() if i}
-    return Series2(ring, phi.variables, order, acc, truncated=phi.truncated)
+    return _times(phi, order, [((i, j), c, i)
+                               for (i, j), c in phi.coeffs.items() if i],
+                  phi.truncated)
 
 
 def _dz(phi: Series2, order: int) -> Series2:
-    ring = phi.ring
-    acc = {(i, j - 1): ring.mul(c, ring.coerce(j))
-           for (i, j), c in phi.coeffs.items() if j}
-    return Series2(ring, phi.variables, order, acc, truncated=phi.truncated)
+    return _times(phi, order, [((i, j - 1), c, j)
+                               for (i, j), c in phi.coeffs.items() if j],
+                  phi.truncated)
 
 
 def _at_order(s: Series2, order: int) -> Series2:

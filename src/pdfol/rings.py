@@ -16,6 +16,19 @@ Three rings are provided:
 Elements are plain values (``mpq``/``Fraction``, ``mpmath.mpc``,
 ``ParamPoly``), so client code can also use native operators once values
 have been coerced.
+
+Each ring owns the inner loop of series products and substitutions,
+``combine(terms, order, degree, add_keys)``: the sum of c*x^shift*right
+over ``(shift, c, right)`` terms (one per left key of a product, one per
+monomial of a substitution) cut at total degree ``order``, as a dict
+without zeros, and whether any pair was cut.  Terms are visited in the
+order given, each ``right`` in its insertion order, so keys and per-key
+sums come in the order of the plain pairwise loop.  ``RationalExact`` and
+``ParamPolyRing`` scale all values to integers (integer lists in the
+parameter) over the lcm D of their denominators, sum integer products per
+key and build one element over D^2 per nonzero key.  ``ComplexApprox``
+adds and multiplies raw mpmath tuples as ``add``/``mul`` round, two
+finite reals by one ``mpf_mul`` (``mpc_mul`` rounds exact products once).
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from __future__ import annotations
 import math
 
 import mpmath
-from mpmath.libmp import (fone, from_float, mpc_abs, mpc_add, mpc_mul,
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_mul,
                           mpc_neg, mpc_sub, mpf_le, mpf_mul, round_nearest)
 
 from .errors import MathError, NotInvertibleError
@@ -221,7 +234,8 @@ class CoefficientRing:
 
     Subclasses fix the element type; ``zero``/``one`` are canonical
     elements.  ``invert`` is partial and raises NotInvertibleError on
-    non-units.
+    non-units.  ``combine`` is the series kernel of the module docstring;
+    the exact rings share it and supply ``_scaled`` and ``_kernel``.
     """
 
     name = "?"
@@ -266,6 +280,17 @@ class CoefficientRing:
     def format_coeff(self, a) -> str:
         raise NotImplementedError
 
+    def combine(self, terms, order, degree, add_keys):
+        rights = {id(right): right for _, _, right in terms}
+        values, scale = self._scaled([c for _, c, _ in terms] + [
+            v for right in rights.values() for v in right.values()])
+        rest = iter(values[len(terms):])
+        for rid, right in rights.items():  # zip ends with right, not rest
+            rights[rid] = list(zip(right, map(degree, right), rest))
+        plan = [(shift, order - degree(shift), a, rights[id(right)])
+                for (shift, _, right), a in zip(terms, values)]
+        return self._kernel(plan, add_keys, scale)
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -308,6 +333,27 @@ class RationalExact(CoefficientRing):
 
     def as_rational(self, a):
         return rational(a)
+
+    @staticmethod
+    def _scaled(values):
+        scale = math.lcm(*[v.denominator for v in values])
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+
+    @staticmethod
+    def _kernel(plan, add_keys, scale):
+        acc = {}
+        get = acc.get
+        cut = False
+        for shift, limit, a, right in plan:
+            for key, d, b in right:
+                if d > limit:
+                    cut = True
+                    continue
+                key = add_keys(shift, key)
+                acc[key] = get(key, 0) + a * b
+        scale *= scale
+        return {key: _RATIONAL_TYPE(v, scale) for key, v in acc.items()
+                if v}, cut
 
     def json_value(self, a):
         return "%d/%d" % (a.numerator, a.denominator)
@@ -380,6 +426,30 @@ class ComplexApprox(CoefficientRing):
         return mpf_le(size, mpf_mul(self._tol, size, self.precision,
                                     round_nearest))
 
+    def combine(self, terms, order, degree, add_keys):
+        prec = self.precision
+        acc = {}
+        cut = False
+        for shift, a, right in terms:
+            limit = order - degree(shift)
+            a = a._mpc_
+            a_real = a[1] == fzero and (a[0][1] or a[0] == fzero)
+            for key, b in right.items():
+                if degree(key) > limit:
+                    cut = True
+                    continue
+                b = b._mpc_
+                if a_real and b[1] == fzero and (b[0][1] or b[0] == fzero):
+                    p = (mpf_mul(a[0], b[0], prec, round_nearest), fzero)
+                else:
+                    p = mpc_mul(a, b, prec, round_nearest)
+                key = add_keys(shift, key)
+                q = acc.get(key)
+                acc[key] = p if q is None else mpc_add(q, p, prec,
+                                                       round_nearest)
+        acc = {key: _make_mpc(v) for key, v in acc.items()}
+        return {key: v for key, v in acc.items() if not self.is_zero(v)}, cut
+
     def eq(self, a, b) -> bool:
         with mpmath.workprec(self.precision):
             scale = max(1.0, abs(a), abs(b))
@@ -448,6 +518,34 @@ class ParamPolyRing(CoefficientRing):
 
     def from_rational(self, q):
         return ParamPoly((q,))
+
+    @staticmethod
+    def _scaled(values):
+        scale = math.lcm(*[c.denominator for v in values for c in v.coeffs])
+        return [[c.numerator * (scale // c.denominator) for c in v.coeffs]
+                for v in values], scale
+
+    @staticmethod
+    def _kernel(plan, add_keys, scale):
+        acc = {}
+        cut = False
+        for shift, limit, a, right in plan:
+            for key, d, b in right:
+                if d > limit:
+                    cut = True
+                    continue
+                key = add_keys(shift, key)
+                out = acc.setdefault(key, [])
+                if len(out) < len(a) + len(b) - 1:
+                    out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+        scale *= scale
+        # _raw strips trailing zeros; a key whose sum is zero is dropped
+        acc = {key: ParamPoly._raw([_RATIONAL_TYPE(v, scale) for v in cs])
+               for key, cs in acc.items()}
+        return {key: v for key, v in acc.items() if v.coeffs}, cut
 
     def as_rational(self, a):
         return a.constant_value()

@@ -39,13 +39,6 @@ from .errors import MathError, NotInvertibleError, PrecisionError
 INF = math.inf
 
 
-def _merge_term(ring, acc, key, value):
-    if key in acc:
-        acc[key] = ring.add(acc[key], value)
-    else:
-        acc[key] = value
-
-
 class _Series:
     """The operations Series1 and Series2 share.
 
@@ -205,7 +198,7 @@ class _Series:
                 if degree(key) > order:
                     dropped = True
                     continue
-                _merge_term(ring, acc, key, value)
+                acc[key] = ring.add(acc[key], value) if key in acc else value
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
         return self._like(order, acc, dropped)
 
@@ -219,22 +212,14 @@ class _Series:
 
     def __mul__(self, other):
         self._check_compat(other)
-        ring = self.ring
         order = min(self.order, other.order)
-        degree = self._degree
-        add_keys = self._add_keys
-        right = [(key, degree(key), c) for key, c in other.coeffs.items()]
-        acc = {}
-        dropped = self.truncated or other.truncated
-        for key1, c1 in self.coeffs.items():
-            d1 = degree(key1)
-            for key2, d2, c2 in right:
-                if d1 + d2 > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, add_keys(key1, key2), ring.mul(c1, c2))
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return self._like(order, acc, dropped)
+        right = other.coeffs
+        if not right or not self.coeffs:
+            return self._like(order, {}, self.truncated or other.truncated)
+        acc, cut = self.ring.combine(
+            [(key, c, right) for key, c in self.coeffs.items()], order,
+            self._degree, self._add_keys)
+        return self._like(order, acc, self.truncated or other.truncated or cut)
 
     def scale(self, value):
         ring = self.ring
@@ -346,7 +331,8 @@ class _Series:
         ``cache`` holds the power ladder of each image between calls that
         share the images.  An image that is exactly its own variable (one
         key, coefficient ``== ring.one``) builds no ladder: its power only
-        shifts the keys of the other factors' product."""
+        shifts the keys of the other factors' product.  The ring's
+        ``combine`` then sums c*x^shift*product over the terms."""
         first = images[0]
         if not isinstance(first, type(self)):
             raise TypeError("expected a %s operand" % type(self).__name__)
@@ -368,9 +354,8 @@ class _Series:
         # native ==, not ring.eq: a float 1 + 1e-12 must still multiply
         bare = [image.coeffs == {var: ring.one}
                 for image, var in zip(images, self._VARIABLES)]
-        degree, exponents_of = first._degree, self._exponents
-        key_of, add_keys = self._key, self._add_keys
-        acc = {}
+        exponents_of, key_of = self._exponents, self._key
+        terms = []
         dropped = self.truncated or any(s.truncated for s in images)
         for key, c in self.coeffs.items():
             exponents = exponents_of(key)
@@ -398,14 +383,9 @@ class _Series:
             if prod.truncated:
                 dropped = True
             shift = key_of(*[e if b else 0 for e, b in zip(exponents, bare)])
-            for pkey, pc in prod.coeffs.items():
-                pkey = add_keys(pkey, shift)
-                if degree(pkey) > order:
-                    dropped = True
-                    continue
-                _merge_term(ring, acc, pkey, ring.mul(c, pc))
-        acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
-        return first._like(order, acc, dropped)
+            terms.append((shift, c, prod.coeffs))
+        acc, cut = ring.combine(terms, order, self._degree, self._add_keys)
+        return first._like(order, acc, dropped or cut)
 
 
 class Series2(_Series):
