@@ -275,8 +275,6 @@ class GPDReport:
     epsilon: object = None
     verdict: str = VERDICT_NA
     normalization: object = None
-    p: int = None
-    path: object = None  # the ReductionPath of the p blow-ups
 
     def json(self, ring=None):
         def rat(v):
@@ -341,5 +339,4 @@ def analyze(omega: OneForm2, method: str = "homological",
                         % (test.m, m))
     return GPDReport(case=case, subcase=subcase, z1=z1, z2=z2, m=m,
                      gpd_alpha_check=check, epsilon=test.epsilon,
-                     verdict=test.verdict, normalization=test.normalization,
-                     p=data.p, path=path)
+                     verdict=test.verdict, normalization=test.normalization)

@@ -324,7 +324,9 @@ def _report_document(args, text):
         "holonomy": None,
     }
     if classification.m is not None:
-        p, m, path = classification.p, classification.m, classification.path
+        data = parse_prenormal(expr.form)
+        p, m = data.p, classification.m
+        path = blowup_chain(expr.form, p)
         canonical["reduction"] = {
             "labels": list(path.labels),
             "self_intersections": encode(list(path.self_intersections)),

@@ -377,6 +377,8 @@ class _Series:
                 # a factor image^0 = 1 would only copy prod; a bare
                 # variable's power is the key shift below
                 if e and not b:
+                    if len(ladder) == 1:  # image^1 = one * image
+                        ladder.append(image.truncate(ladder[0].order))
                     while len(ladder) <= e:
                         ladder.append(ladder[-1] * image)
                     prod = ladder[e] if prod is one else prod * ladder[e]

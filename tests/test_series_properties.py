@@ -1,7 +1,8 @@
 """Property tests of the one-pass unit inverse, of the Camacho-Sad index,
 which reads only low degrees of that inverse, of the agreement of the
-one- and two-variable series, and of substitutions whose images are bare
-variables, over random series in all three rings."""
+one- and two-variable series, and of substitutions (some of whose
+images are bare variables) against explicit pairwise products, over
+random series in all three rings."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from pdfol.errors import NotInvertibleError, PdfolError, PrecisionError
 from pdfol.forms import PlaneVectorField, cs_index
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
+from util import SPECS, product_by_pairs, raw, spec_value
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -23,22 +25,25 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
 NONZERO = st.integers(-4, 4).filter(bool)
 
 
-def coefficient(ring, q, e):
-    """q*b^e in the param ring, q in the others."""
-    c = ring.from_rational(q)
-    if ring is PB:
-        c = ring.mul(c, ring.generator ** e)
-    return c
+def monomial(q, e):
+    """The coefficient spec (see ``util.spec_value``) of q*b^e in the
+    param ring, q in the others."""
+    return [0] * e + [q], 0
+
+
+MONOMIALS = st.builds(monomial, st.builds(rational, NONZERO,
+                                          st.integers(1, 3)),
+                      st.integers(0, 2))
 
 
 @st.composite
-def tails(draw, keys):
-    """{key: (q, e)}: a few nonconstant terms with small coefficients."""
+def tails(draw, keys, values=MONOMIALS):
+    """{key: coefficient spec}: a few nonconstant terms, by default with
+    small coefficients q*b^e."""
     out = {}
     for _ in range(draw(st.integers(0, 5))):
         key = draw(keys)
-        out[key] = (rational(draw(NONZERO), draw(st.integers(1, 3))),
-                    draw(st.integers(0, 2)))
+        out[key] = draw(values)
     return out
 
 
@@ -57,14 +62,14 @@ KEYS2 = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
 
 
 def build1(ring, order, u0, tail, truncated):
-    coeffs = {k: coefficient(ring, q, e) for k, (q, e) in tail.items()}
+    coeffs = {k: spec_value(ring, spec) for k, spec in tail.items()}
     if u0 is not None:
         coeffs[0] = ring.from_rational(u0)
     return Series1(ring, "z", order, coeffs, truncated=truncated)
 
 
 def build2(ring, order, u0, tail, truncated):
-    coeffs = {k: coefficient(ring, q, e) for k, (q, e) in tail.items()}
+    coeffs = {k: spec_value(ring, spec) for k, spec in tail.items()}
     if u0 is not None:
         coeffs[(0, 0)] = ring.from_rational(u0)
     return Series2(ring, XZ, order, coeffs, truncated=truncated)
@@ -169,7 +174,8 @@ def one_variable_cases(draw):
 def embedded(ring, data):
     """The same data as a Series1 in z and in the z slot of a Series2."""
     order, tail, truncated = data
-    coeffs = {k: coefficient(ring, q, e) for k, (q, e) in tail.items()}
+    coeffs = {k: spec_value(ring, monomial(q, e))
+              for k, (q, e) in tail.items()}
     return (Series1(ring, "z", order, coeffs, truncated=truncated),
             Series2(ring, XZ, order, {(0, k): c for k, c in coeffs.items()},
                     truncated=truncated))
@@ -222,10 +228,11 @@ def test_one_and_two_variables_agree(case):
 
 
 def substitute_by_products(series, images, one):
-    """The substitution with every power formed by explicit products:
-    image^e is e products from ``one``, a term's nonconstant factors
-    multiply in variable order, and each product's terms merge in its own
-    order.  ``series`` keys are exponent tuples or ints."""
+    """The substitution with every power formed by explicit pairwise
+    products (``util.product_by_pairs``): image^e is e products from
+    ``one``, a term's nonconstant factors multiply in variable order, and
+    each product's terms merge in its own order.  ``series`` keys are
+    exponent tuples or ints."""
     ring = series.ring
     terms = [(key if isinstance(key, tuple) else (key,), c)
              for key, c in series.coeffs.items()]
@@ -247,8 +254,8 @@ def substitute_by_products(series, images, one):
         for e, image in factors:
             power = one
             for _ in range(e):
-                power = power * image
-            prod = power if prod is one else prod * power
+                power = product_by_pairs(power, image)
+            prod = power if prod is one else product_by_pairs(prod, power)
         dropped = dropped or prod.truncated
         for pkey, pc in prod.coeffs.items():
             if sum(pkey if isinstance(pkey, tuple) else (pkey,)) > order:
@@ -261,6 +268,9 @@ def substitute_by_products(series, images, one):
 
 
 ALMOST_ONE = rational(10 ** 12 + 1, 10 ** 12)
+# small q*b^e, or large coprime denominators, complex floats and
+# b-polynomials of degree up to 2
+COEFFICIENTS = st.one_of(MONOMIALS, SPECS)
 
 
 @st.composite
@@ -270,7 +280,8 @@ def substitution_cases(draw):
     or a random series, each with its own order and truncated flag.
     Image orders fall below the series order as often as above it.  Keys
     stay low, so that many series are exact polynomials and the flag
-    comes from the substitution alone."""
+    comes from the substitution alone.  Coefficients are drawn from
+    ``COEFFICIENTS``."""
     keys = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
 
     order = draw(st.integers(0, 6))
@@ -281,12 +292,12 @@ def substitution_cases(draw):
         truncated = draw(st.booleans())
         if kind == "series":
             constant = draw(st.sampled_from((None, None, rational(1, 2))))
-            tail = draw(tails(keys))
-            tail[own] = tail.get(own, (rational(draw(NONZERO)), 0))
+            tail = draw(tails(keys, COEFFICIENTS))
+            tail[own] = tail.get(own, monomial(rational(draw(NONZERO)), 0))
             return kind, image_order, truncated, constant, tail
         return kind, image_order, truncated, None, {}
     series = (order, draw(st.sampled_from((None, rational(3)))),
-              draw(tails(keys)), draw(st.booleans()))
+              draw(tails(keys, COEFFICIENTS)), draw(st.booleans()))
     return series, image((1, 0)), image((0, 1))
 
 
@@ -294,7 +305,8 @@ def build_image(ring, data, own, build):
     """The image ``data`` describes; ``own`` is the key of its variable."""
     kind, order, truncated, constant, tail = data
     if kind != "series":
-        tail = {own: (rational(1) if kind == "bare" else ALMOST_ONE, 0)}
+        tail = {own: monomial(rational(1) if kind == "bare" else ALMOST_ONE,
+                              0)}
     return build(ring, order, constant, tail, truncated)
 
 
@@ -304,24 +316,35 @@ def same_substitution(got, want, where):
         return
     assert not isinstance(got, type), where
     order, truncated, items = want
-    # native ==: a float result must match bit for bit, not within tol
-    assert list(got.coeffs.items()) == items, where
+    ring = got.ring
+    # a float result must match bit for bit, not within tol
+    assert ([(k, raw(ring, v)) for k, v in got.coeffs.items()]
+            == [(k, raw(ring, v)) for k, v in items]), where
     assert (got.order, got.truncated) == (order, truncated), where
 
 
 @PROPERTY
 @given(substitution_cases())
 # exact data whose ladder product overflows the image order
-@example(((4, None, {(0, 2): (1, 0)}, False), ("bare", 4, False, None, {}),
-          ("series", 2, False, None, {(0, 1): (1, 0), (0, 2): (1, 0)})))
+@example(((4, None, {(0, 2): ([1], 0)}, False), ("bare", 4, False, None, {}),
+          ("series", 2, False, None, {(0, 1): ([1], 0), (0, 2): ([1], 0)})))
 # a series order below both image orders: the degree cut drops z^2
-@example(((1, None, {(0, 1): (1, 0), (1, 0): (1, 0)}, False),
+@example(((1, None, {(0, 1): ([1], 0), (1, 0): ([1], 0)}, False),
           ("bare", 3, False, None, {}),
-          ("series", 3, False, None, {(0, 1): (1, 0), (0, 2): (1, 0)})))
+          ("series", 3, False, None, {(0, 1): ([1], 0), (0, 2): ([1], 0)})))
+# z -> z - x in (1+b)*x + b*z: the b terms at x cancel, leaving 1;
+# in b*x + b*z the x coefficient cancels to zero
+@example(((4, None, {(1, 0): ([1, 1], 0), (0, 1): ([0, 1], 0)}, False),
+          ("bare", 4, False, None, {}),
+          ("series", 4, False, None, {(0, 1): ([1], 0), (1, 0): ([-1], 0)})))
+@example(((4, None, {(1, 0): ([0, 1], 0), (0, 1): ([0, 1], 0)}, False),
+          ("bare", 4, False, None, {}),
+          ("series", 4, False, None, {(0, 1): ([1], 0), (1, 0): ([-1], 0)})))
 def test_bare_variable_images_shift_keys(case):
     """A substitution whose image is its own variable gives what explicit
-    products of the power ladders give: the same coefficients (compared
-    with native ==) in the same merge order, order and truncated flag.
+    pairwise products of the power ladders give: the same coefficients
+    (floats: the same raw tuples) in the same merge order, order and
+    truncated flag.
     An image (1 + 1e-12)*x is not bare and still multiplies."""
     series_data, x_data, z_data = case
     for ring in RINGS:

@@ -1,7 +1,12 @@
-"""Builders for the worked examples shared across test modules."""
+"""Builders for the worked examples, and the coefficient data and
+pairwise product oracle of the series property tests, shared across
+test modules."""
+
+from hypothesis import strategies as st
 
 from pdfol.forms import OneForm2
-from pdfol.rings import RationalExact, rational
+from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
+                         rational)
 from pdfol.series import Series2
 
 QQ = RationalExact()
@@ -45,3 +50,69 @@ def fibered_model_form(m, a_coeff, order=24, ring=QQ):
         a[(m, 0)] = ring.neg(ring.coerce(a_coeff))
     return OneForm2(Series2(ring, ("x", "z"), order, a),
                     Series2(ring, ("x", "z"), order, {(1, 0): 1}))
+
+
+# primes near 10**12 and 10**9: sums of their fractions need large lcms
+PRIMES = (999999999989, 999999999961, 1000000007, 998244353, 7, 3)
+SMALL = st.builds(rational, st.integers(-2, 2), st.integers(1, 3))
+LARGE = st.builds(rational, st.integers(-10 ** 15, 10 ** 15),
+                  st.sampled_from(PRIMES))
+RATIONALS = st.one_of(SMALL, SMALL, LARGE)
+# a coefficient spec (coefficients in b, imaginary part): b-polynomials
+# of degree 0 to 2, complex in the float ring one time in three
+SPECS = st.tuples(st.lists(RATIONALS, min_size=1, max_size=3),
+                  st.one_of(st.just(0), st.just(0), RATIONALS))
+
+
+def spec_value(ring, spec):
+    """The spec's element: the polynomial in Q[b] in a ParamPolyRing, its
+    value at b = 1 in the exact ring, and that value plus the imaginary
+    part in the float ring."""
+    poly, imag = spec
+    if isinstance(ring, ParamPolyRing):
+        return ParamPoly(poly)
+    value = ring.from_rational(sum(poly, rational(0)))
+    if imag and isinstance(ring, ComplexApprox):
+        value = ring.add(value, ring.mul(ring.from_rational(rational(imag)),
+                                         ring.coerce(1j)))
+    return value
+
+
+def raw(ring, v):
+    """What identical means per ring: the raw float tuple, the canonical
+    b-coefficients, the canonical rational."""
+    if isinstance(ring, ComplexApprox):
+        return v._mpc_
+    if isinstance(ring, ParamPolyRing):
+        return v.coeffs
+    return v
+
+
+def _degree(key):
+    return sum(key) if isinstance(key, tuple) else key
+
+
+def _add_keys(a, b):
+    if isinstance(a, tuple):
+        return tuple(x + y for x, y in zip(a, b))
+    return a + b
+
+
+def product_by_pairs(a, b):
+    """a * b by the plain pairwise loop: every pair of terms in order,
+    each product through ``ring.mul`` and each sum through ``ring.add``,
+    pairs past the order dropped (and flagged), zeros dropped at the
+    end."""
+    ring = a.ring
+    order = min(a.order, b.order)
+    acc = {}
+    dropped = a.truncated or b.truncated
+    for key1, c1 in a.coeffs.items():
+        for key2, c2 in b.coeffs.items():
+            if _degree(key1) + _degree(key2) > order:
+                dropped = True
+                continue
+            key, term = _add_keys(key1, key2), ring.mul(c1, c2)
+            acc[key] = ring.add(acc[key], term) if key in acc else term
+    acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
+    return a._like(order, acc, dropped)
