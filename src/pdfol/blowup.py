@@ -25,8 +25,6 @@ import mpmath
 
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
-from .rings import (ComplexApprox, ParamPolyRing, RationalExact, rational,
-                    rational_sqrt)
 from .series import INF, Series1, Series2
 
 
@@ -187,7 +185,7 @@ def _eval_numeric(q: Series1, value):
     out = mpmath.mpc(0)
     z = mpmath.mpc(value)
     for c in reversed(q.as_polynomial_coeffs()):
-        out = out * z + _as_mpc(c)
+        out = out * z + q.ring.to_complex(c)
     return out
 
 
@@ -211,62 +209,10 @@ def roots_series1(q: Series1):
     coeffs = q.as_polynomial_coeffs()
     while len(coeffs) > 1 and ring.is_zero(coeffs[-1]):
         coeffs.pop()
-    d = len(coeffs) - 1
-    if d == 0:
+    if len(coeffs) == 1:
         return roots
-    if isinstance(ring, ParamPolyRing):
-        consts = [c.constant_value() for c in coeffs]
-        if all(c is not None for c in consts):
-            inner = Series1(RationalExact(), q.variable, q.order,
-                            dict(enumerate(consts)))
-            for pt in roots_series1(inner):
-                if pt.approximate:
-                    raise MathError(
-                        "parametric mode needs exact rational roots")
-                roots.append(DivisorPoint(ring.coerce(pt.location),
-                                          pt.multiplicity))
-            return roots
-        if d == 1:
-            lead = coeffs[1].constant_value()
-            if lead is None or lead == 0:
-                raise MathError(
-                    "parametric root finding needs a constant leading term")
-            root = ring.mul(coeffs[0], ring.coerce(rational(-1) / lead))
-            roots.append(DivisorPoint(root, 1))
-            return roots
-        raise MathError("parametric roots are only found for linear factors")
-    if d == 1:
-        root = ring.neg(ring.div(coeffs[0], coeffs[1]))
-        roots.append(DivisorPoint(root, 1,
-                                  approximate=isinstance(ring, ComplexApprox)))
-        return roots
-    if d == 2 and isinstance(ring, RationalExact):
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c0 * c2
-        sq = rational_sqrt(disc) if disc >= 0 else None
-        if sq is not None:
-            half = rational(1, 2) / c2
-            r1 = (-c1 + sq) * half
-            r2 = (-c1 - sq) * half
-            if r1 == r2:
-                roots.append(DivisorPoint(r1, 2))
-            else:
-                roots.append(DivisorPoint(r1, 1))
-                roots.append(DivisorPoint(r2, 1))
-            return roots
-    # numeric fallback
-    with mpmath.workprec(getattr(ring, "precision", 64)):
-        poly = [_as_mpc(c) for c in reversed(coeffs)]
-        found = mpmath.polyroots(poly, maxsteps=100, extraprec=50)
-    for r in found:
-        roots.append(DivisorPoint(mpmath.mpc(r), 1, approximate=True))
-    return roots
-
-
-def _as_mpc(c):
-    if isinstance(c, (mpmath.mpc, mpmath.mpf)):
-        return mpmath.mpc(c)
-    return mpmath.mpc(mpmath.mpf(int(c.numerator)) / int(c.denominator))
+    return roots + [DivisorPoint(r, k, approximate=approximate)
+                    for r, k, approximate in ring.roots(coeffs)]
 
 
 def singular_points_on_divisor(result: BlowupResult):

@@ -17,13 +17,15 @@ from typing import NamedTuple, Optional
 import mpmath
 
 from .errors import InputError, MathError
-from .rings import ParamPoly, is_rational, rational, rational_sqrt
+from .rings import (ParamPoly, is_rational, rational, rational_sqrt,
+                    small_rational)
 from .series import Series1
-from .forms import (OneForm2, SingKind, _near_rational, classify_singularity,
-                    dual, linear_part, normalized_jordan)
+from .forms import (OneForm2, SingKind, classify_singularity, dual,
+                    linear_part, normalized_jordan)
 from .blowup import (blowup_chart1, blowup_chain, recenter,
                      singular_points_on_divisor)
 from .normal_form import normalize, to_fibered_field
+from .report import encode
 
 CASE_CUSP = "cusp"
 CASE_SADDLE = "saddle"
@@ -144,7 +146,7 @@ def saddle_subcase(alpha, tol: float = 1e-9) -> str:
         return SUBCASE_PM4
     w = mpmath.sqrt(x * x - 16) / x
     if abs(w.imag) <= tol and -1 < w.real < 1:
-        if _near_rational(w.real, tol) is not None:
+        if small_rational(w.real, tol) is not None:
             return SUBCASE_RESONANT
     return SUBCASE_SIMPLE
 
@@ -277,34 +279,16 @@ class GPDReport:
     normalization: object = None
 
     def json(self, ring=None):
-        def rat(v):
-            if v is None:
-                return None
-            return "%d/%d" % (v.numerator, v.denominator)
-
-        eps = None
-        if self.epsilon is not None and ring is not None:
-            eps = ring.json_value(self.epsilon)
         return {
             "case": self.case,
             "subcase": self.subcase,
-            "z1": rat(self.z1),
-            "z2": rat(self.z2),
+            "z1": encode(self.z1),
+            "z2": encode(self.z2),
             "m": self.m,
             "gpd_alpha_check": self.gpd_alpha_check,
-            "epsilon": eps,
+            "epsilon": None if ring is None else encode(self.epsilon, ring),
             "verdict": self.verdict,
         }
-
-
-def _rational_alpha(alpha, ring):
-    q = ring.as_rational(alpha)
-    if q is not None:
-        return q
-    x = mpmath.mpc(alpha)
-    if abs(x.imag) <= getattr(ring, "tol", 1e-9):
-        return _near_rational(x.real, getattr(ring, "tol", 1e-9))
-    return None
 
 
 def analyze(omega: OneForm2, method: str = "homological",
@@ -315,10 +299,10 @@ def analyze(omega: OneForm2, method: str = "homological",
     if case != CASE_SADDLE:
         return GPDReport(case=case)
     ring = omega.ring
-    subcase = saddle_subcase(data.alpha, tol=getattr(ring, "tol", 1e-9))
+    subcase = saddle_subcase(data.alpha, tol=ring.tol)
     if subcase != SUBCASE_RESONANT:
         return GPDReport(case=case, subcase=subcase)
-    alpha_q = _rational_alpha(data.alpha, ring)
+    alpha_q = ring.near_rational(data.alpha)
     if alpha_q is None:
         raise MathError("alpha is irrational; the resonance data cannot be "
                         "certified in exact arithmetic")

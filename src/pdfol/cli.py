@@ -20,8 +20,7 @@ from . import __version__
 from .blowup import (blowup_chain, blowup_chart1, blowup_chart2, recenter,
                      singular_points_on_divisor)
 from .classify import (analyze, default_order, gpd_condition, gpd_detect,
-                       parse_prenormal, takens_case, CASE_SADDLE,
-                       _rational_alpha)
+                       parse_prenormal, takens_case, CASE_SADDLE)
 from .errors import InputError, MathError, PdfolError
 from .forms import cs_index, dual, report_at
 from .holonomy import dichotomy, numeric_holonomy, pd_holonomy_model, sz_lambda
@@ -237,8 +236,7 @@ def _resonance(form):
     data = parse_prenormal(form)
     if takens_case(data) != CASE_SADDLE:
         raise MathError("the form is not in the saddle case (2p != n)")
-    ring = form.ring
-    alpha_q = _rational_alpha(data.alpha, ring)
+    alpha_q = form.ring.near_rational(data.alpha)
     if alpha_q is None:
         raise MathError("alpha is irrational; no exact resonance data")
     found = gpd_detect(data.p, alpha_q)
@@ -285,7 +283,7 @@ def _cmd_holonomy(args, out):
         raise InputError("--samples must be comma-separated numbers")
     if not samples:
         raise InputError("--samples must be comma-separated numbers")
-    center = float(Fraction(args.center))
+    center = float(_as_fraction(args.center, "--center"))
     for label, text in _inputs(args):
         expr = _parse(args, text)
         if label is not None:

@@ -18,8 +18,8 @@ from enum import Enum
 import mpmath
 
 from .errors import MathError
-from .rings import (ComplexApprox, ParamPolyRing, RationalExact, rational,
-                    rational_sqrt)
+from .report import encode
+from .rings import rational
 from .series import Series1, Series2
 
 
@@ -165,30 +165,13 @@ def eigenvalues(L: Matrix2, ring):
     Triangular matrices are read off exactly in any ring.  Otherwise the
     characteristic polynomial is solved: exactly over the rationals when
     the discriminant is a rational square, numerically in a complex ring,
-    and not at all over a parameter ring.
+    and not at all over a parameter ring (``ring.char_roots``).
     """
     (a, b), (c, d) = L
     if ring.is_zero(b) or ring.is_zero(c):
         return (a, d), True
-    if isinstance(ring, ParamPolyRing):
-        raise MathError("cannot solve a full 2x2 eigenproblem over Q[%s]"
-                        % ring.param)
-    tr = ring.add(a, d)
-    det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-    if isinstance(ring, RationalExact):
-        disc = tr * tr - 4 * det
-        root = rational_sqrt(disc) if disc >= 0 else None
-        if root is None:
-            half = mpmath.mpf(int(tr.numerator)) / int(tr.denominator) / 2
-            rad = mpmath.sqrt(mpmath.mpf(int(disc.numerator))
-                              / int(disc.denominator)) / 2
-            return (mpmath.mpc(half + rad), mpmath.mpc(half - rad)), False
-        two_inv = rational(1, 2)
-        return ((tr + root) * two_inv, (tr - root) * two_inv), True
-    rad = mpmath.sqrt(tr * tr - 4 * det)
-    half = ring.coerce(rational(1, 2))
-    return (ring.mul(ring.add(tr, rad), half),
-            ring.mul(ring.sub(tr, rad), half)), False
+    return ring.char_roots(ring.add(a, d),
+                           ring.sub(ring.mul(a, d), ring.mul(b, c)))
 
 
 class SingKind(Enum):
@@ -212,17 +195,10 @@ class SingularityType:
     def json(self):
         out = {"kind": self.kind.value, "approximate": self.approximate}
         if self.ratio is not None:
-            out["ratio"] = (format_ratio(self.ratio))
+            out["ratio"] = encode(self.ratio)
         if self.m is not None:
             out["m"] = self.m
         return out
-
-
-def format_ratio(r):
-    try:
-        return "%d/%d" % (r.numerator, r.denominator)
-    except AttributeError:
-        return [float(mpmath.mpc(r).real), float(mpmath.mpc(r).imag)]
 
 
 def classify_singularity(L: Matrix2, ring) -> SingularityType:
@@ -241,13 +217,7 @@ def classify_singularity(L: Matrix2, ring) -> SingularityType:
     if scalar:
         return SingularityType(SingKind.DICRITICAL_CANDIDATE)
     (l1, l2), exact = eigenvalues(L, ring)
-
-    def is_zero_eig(v):
-        if exact and not isinstance(v, (mpmath.mpc, mpmath.mpf)):
-            return ring.is_zero(v)
-        return abs(mpmath.mpc(v)) <= getattr(ring, "tol", 1e-9)
-
-    z1, z2 = is_zero_eig(l1), is_zero_eig(l2)
+    z1, z2 = ring.negligible(l1), ring.negligible(l2)
     if z1 and z2:
         return SingularityType(SingKind.NON_ELEMENTARY, approximate=not exact)
     if z1 or z2:
@@ -266,41 +236,22 @@ def classify_singularity(L: Matrix2, ring) -> SingularityType:
                         SingKind.POINCARE_DULAC_CANDIDATE, ratio=ratio,
                         m=int(cand.numerator))
             return SingularityType(SingKind.POSITIVE_RATIONAL, ratio=ratio)
-        if isinstance(ring, ParamPolyRing):
-            raise MathError("eigenvalues depend on the parameter %s; "
-                            "classification needs numeric values" % ring.param)
         # exact triangular matrix over a complex ring falls through to the
-        # approximate tests below
-    tol = getattr(ring, "tol", 1e-9)
-    r = mpmath.mpc(l1) / mpmath.mpc(l2)
-    if abs(r.imag) <= tol * max(1.0, abs(r)):
+        # approximate tests below; over Q[b] it has no numeric value
+    r = ring.to_complex(l1) / ring.to_complex(l2)
+    if ring.negligible(r.imag, max(1.0, abs(r))):
         x = r.real
         for cand in (x, 1 / x):
             n = mpmath.nint(cand)
-            if n >= 2 and abs(cand - n) <= tol * max(1.0, abs(cand)):
+            if n >= 2 and ring.negligible(cand - n, max(1.0, abs(cand))):
                 return SingularityType(SingKind.POINCARE_DULAC_CANDIDATE,
                                        ratio=r, m=int(n), approximate=True)
-        if x < 0:
-            frac = _near_rational(x, tol)
-            if frac is not None:
-                return SingularityType(SingKind.RESONANT, ratio=frac,
-                                       approximate=True)
-        elif x > 0:
-            frac = _near_rational(x, tol)
-            if frac is not None:
-                return SingularityType(SingKind.POSITIVE_RATIONAL, ratio=frac,
-                                       approximate=True)
+        frac = ring.near_rational(x) if x < 0 or x > 0 else None  # not NaN
+        if frac is not None:
+            kind = SingKind.RESONANT if x < 0 else SingKind.POSITIVE_RATIONAL
+            return SingularityType(kind, ratio=frac, approximate=True)
     return SingularityType(SingKind.REDUCED_HYPERBOLIC, ratio=r,
                            approximate=True)
-
-
-def _near_rational(x, tol, max_den=1000):
-    """Best small-denominator rational within 10*tol of x, or None."""
-    from fractions import Fraction
-    f = Fraction(float(x)).limit_denominator(max_den)
-    if abs(float(f) - float(x)) <= 10 * tol * max(1.0, abs(float(x))):
-        return rational(f.numerator, f.denominator)
-    return None
 
 
 def cs_index(field: PlaneVectorField, z0):
@@ -355,22 +306,17 @@ class SingularityReport:
     corner: bool = False
 
     def json(self, ring):
-        def val(v):
-            if isinstance(v, (mpmath.mpc, mpmath.mpf)):
-                c = mpmath.mpc(v)
-                return [float(c.real), float(c.imag)]
-            return ring.json_value(v)
         out = {
             "chart": self.chart,
             "corner": self.corner,
-            "location": None if self.location is None else val(self.location),
-            "linear_part": [[val(e) for e in row] for row in self.linear],
-            "eigenvalues": [val(e) for e in self.eigenvalues],
+            "location": encode(self.location, ring),
+            "linear_part": encode(self.linear, ring),
+            "eigenvalues": encode(self.eigenvalues, ring),
             "eigenvalues_exact": self.eigen_exact,
             "type": self.type.json(),
         }
         if self.cs is not None:
-            out["cs_index"] = val(self.cs)
+            out["cs_index"] = encode(self.cs, ring)
         return out
 
 

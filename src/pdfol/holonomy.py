@@ -99,11 +99,12 @@ class FormalDiffeo1:
 
     def evaluate(self, x0):
         """Numeric value of the truncated series at x0."""
-        with mpmath.workprec(getattr(self.ring, "precision", 64)):
+        ring = self.ring
+        with mpmath.workprec(ring.precision):
             xv = mpmath.mpc(x0)
             acc = mpmath.mpc(0)
             for k, c in self.series().coeffs.items():
-                acc += mpmath.mpc(c) * xv ** k
+                acc += ring.to_complex(c) * xv ** k
             return acc
 
     def format(self) -> str:
@@ -209,22 +210,8 @@ def group_commutator(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
     return compose(compose(g, h), compose(inverse(g), inverse(h)))
 
 
-def _series_close(s1: Series1, s2: Series1) -> bool:
-    """Coefficientwise comparison, tolerance scaled by magnitude."""
-    ring = s1.ring
-    tol = getattr(ring, "tol", None)
-    if tol is None:
-        return s1 == s2
-    order = min(s1.order, s2.order)
-    keys = {k for k in set(s1.coeffs) | set(s2.coeffs) if k <= order}
-    scale = max([1.0] + [abs(mpmath.mpc(s1.coefficient(k))) for k in keys]
-                + [abs(mpmath.mpc(s2.coefficient(k))) for k in keys])
-    return all(abs(mpmath.mpc(s1.coefficient(k)) - mpmath.mpc(s2.coefficient(k)))
-               <= tol * scale for k in keys)
-
-
 def diffeo_close(h: FormalDiffeo1, g: FormalDiffeo1) -> bool:
-    return _series_close(h.series(), g.series())
+    return h.ring.series_close(h.series(), g.series())
 
 
 def is_identity(h: FormalDiffeo1) -> bool:
@@ -250,18 +237,6 @@ def pd_holonomy_model(m: int, N: int, ring=None) -> FormalDiffeo1:
     return FormalDiffeo1(ring.coerce(mu), flow.tail.scale(ring.coerce(mu)))
 
 
-def _to_complex(c):
-    if isinstance(c, (int, float, complex)):
-        return complex(c)
-    if isinstance(c, (mpmath.mpf, mpmath.mpc)):
-        return complex(c)
-    num = getattr(c, "numerator", None)
-    if num is not None:
-        return complex(int(num) / int(c.denominator))
-    raise MathError("cannot transport coefficients of type %s"
-                    % type(c).__name__)
-
-
 def _eval2(terms, xv, zv):
     return sum(c * xv ** i * zv ** j for i, j, c in terms)
 
@@ -278,19 +253,22 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
     # scipy is most of the package's import time, and only this uses it
     from scipy.integrate import solve_ivp
 
-    a_terms = [(i, j, _to_complex(c)) for (i, j), c in omega.a.coeffs.items()]
-    b_terms = [(i, j, _to_complex(c)) for (i, j), c in omega.b.coeffs.items()]
+    ring = omega.ring
+    a_terms = [(i, j, complex(ring.to_complex(c)))
+               for (i, j), c in omega.a.coeffs.items()]
+    b_terms = [(i, j, complex(ring.to_complex(c)))
+               for (i, j), c in omega.b.coeffs.items()]
     if not a_terms:
         raise MathError("the dx-coefficient vanishes identically; the "
                         "transversal fibration degenerates along the loop")
-    c0 = _to_complex(center)
+    c0 = complex(center)
     r = float(radius)
     if r <= 0:
         raise InputError("loop radius must be positive")
 
     restriction = omega.a.restrict_first_zero()
     if not restriction.is_zero():
-        rest_terms = [(0, j, _to_complex(c))
+        rest_terms = [(0, j, complex(ring.to_complex(c)))
                       for j, c in restriction.coeffs.items()]
         scale = max(abs(c) for _, _, c in rest_terms)
         for k in range(360):
@@ -313,7 +291,7 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
 
     results = []
     for x0 in samples:
-        start = _to_complex(x0)
+        start = complex(x0)
         sol = solve_ivp(rhs, (0.0, 1.0), [start.real, start.imag],
                         method="DOP853", rtol=rtol,
                         atol=1e-14 * max(1.0, abs(start)), max_step=0.05)
@@ -345,18 +323,17 @@ def group_model(p: int, m: int, Y: VectorField1, N: int,
         raise MathError("model field must vanish to order exactly m + 1 "
                         "(got valuation %s)" % v)
     ring = Y.ring
-    with mpmath.workprec(getattr(ring, "precision", 64)):
+    with mpmath.workprec(ring.precision):
         if mu is None:
             mu = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) / m)
         if lam is None:
             lam = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) / p)
     mu = ring.coerce(mu)
     lam = ring.coerce(lam)
-    tol = getattr(ring, "tol", 1e-9)
-    with mpmath.workprec(getattr(ring, "precision", 64)):
-        if abs(mpmath.mpc(mu) ** m - 1) > tol:
+    with mpmath.workprec(ring.precision):
+        if not ring.negligible(ring.to_complex(mu) ** m - 1):
             raise MathError("mu is not an m-th root of unity")
-        if abs(mpmath.mpc(lam) ** p - 1) > tol:
+        if not ring.negligible(ring.to_complex(lam) ** p - 1):
             raise MathError("lambda is not a p-th root of unity")
     plus = exp_vf(Y, N)
     minus = exp_vf(-Y, N)
@@ -395,7 +372,7 @@ def commutes_with_scaling(h: FormalDiffeo1, alpha, N: int = None) -> bool:
     left = s.scale(alpha)
     scaled_x = Series1.monomial(ring, h.variable, s.order, 1, alpha)
     right = s.compose(scaled_x)
-    return _series_close(left, right)
+    return ring.series_close(left, right)
 
 
 def periodicity(h: FormalDiffeo1, q: int, N: int = None) -> bool:

@@ -29,7 +29,7 @@ import mpmath
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .rings import rational
-from .series import INF, Series2
+from .series import Series2
 
 
 @dataclass(frozen=True)
@@ -270,18 +270,12 @@ def verify_conjugation(X: FiberedField, transform: Series2, m: int, epsilon,
     model = Series2.monomial(ring, variables, N, (m, 0), epsilon)
     residual = (_x_dx(phi, N) + (one + _dz(phi, N)) * (mz + a)
                 - mz - phi.scale(ring.coerce(m)) - model)
-    tol = getattr(ring, "tol", None)
-    if tol is None:
-        return residual.valuation()
-    # Float roundoff in a residual coefficient is relative to the same
-    # expression taken over absolute values, coefficient by coefficient:
-    # a coefficient within tol of that bound counts as zero.
-    a_abs, phi_abs = _magnitudes(a), _magnitudes(phi)
-    bound = (_x_dx(phi_abs, N) + (one + _dz(phi_abs, N)) * (mz + a_abs)
-             + mz + phi_abs.scale(ring.coerce(m)) + _magnitudes(model))
-    return min((i + j for (i, j), c in residual.coeffs.items()
-                if abs(c) > tol * max(1.0, abs(bound.coefficient(i, j)))),
-               default=INF)
+
+    def bound():  # the residual's terms over absolute values
+        a_abs, phi_abs = _magnitudes(a), _magnitudes(phi)
+        return (_x_dx(phi_abs, N) + (one + _dz(phi_abs, N)) * (mz + a_abs)
+                + mz + phi_abs.scale(ring.coerce(m)) + _magnitudes(model))
+    return ring.residual_valuation(residual, bound)
 
 
 def bound_bruteforce(m: int, R: int):

@@ -24,10 +24,9 @@ form, so the printed text is a canonical name for the input.
 import re
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, MathError
 from .forms import OneForm2
-from .rings import (ComplexApprox, ParamPolyRing, RationalExact,
-                    format_rational, rational)
+from .rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from .series import Series2
 
 VARIABLES = ("x", "y")
@@ -93,7 +92,6 @@ class _Parser:
         self.text = text
         self.ring = ring
         self.order = order
-        self.param = getattr(ring, "param", None)
         self.tokens = tokenize(text)
         self.at = 0
 
@@ -135,10 +133,11 @@ class _Parser:
                 raise InputError("zero denominator at offset %d" % tok.pos)
             return self.ring.from_rational(rational(int(head), int(den)))
         if "." in text or "e" in text.lower():
-            if not isinstance(self.ring, ComplexApprox):
+            try:
+                return self.ring.coerce(float(text))
+            except MathError:
                 raise InputError("decimal literal %r at offset %d needs "
-                                 "float mode" % (text, tok.pos))
-            return self.ring.coerce(float(text))
+                                 "float mode" % (text, tok.pos)) from None
         return self.ring.from_rational(rational(int(text)))
 
     # value algebra
@@ -192,8 +191,9 @@ class _Parser:
             if self.is_form(value):
                 raise InputError("cannot exponentiate a 1-form at offset %d"
                                  % caret.pos)
-            acc = self.scalar(1)
-            for _ in range(int(tok.text)):
+            n = int(tok.text)
+            acc = value[0] if n else self.scalar(1)
+            for _ in range(n - 1):
                 acc = acc * value[0]
             value = (acc, self.zero(), self.zero())
         return value
@@ -229,9 +229,9 @@ class _Parser:
             if self.is_form(inner):
                 raise InputError("d(...) of a 1-form at offset %d" % tok.pos)
             return (self.zero(), inner[0].derive(0), inner[0].derive(1))
-        if self.param is not None and name == self.param:
-            return (self.scalar(self.ring.generator), self.zero(),
-                    self.zero())
+        value = self.ring.symbol(name)
+        if value is not None:
+            return (self.scalar(value), self.zero(), self.zero())
         raise InputError("unknown symbol %r at offset %d" % (name, tok.pos))
 
     def run(self):
@@ -281,47 +281,10 @@ def parse_expr(text: str, mode: str = "exact", order: int = 24,
 # ---------------------------------------------------------------- printing
 
 
-def _coeff_text(coeff, ring):
-    """(negate, text or None) for one coefficient; None means a bare 1."""
-    if isinstance(ring, RationalExact):
-        neg = coeff < 0
-        mag = -coeff if neg else coeff
-        return neg, None if mag == 1 else format_rational(mag)
-    if isinstance(ring, ComplexApprox):
-        if abs(coeff.imag) != 0:
-            raise InputError("cannot print a complex coefficient in the "
-                             "input grammar")
-        value = float(coeff.real)
-        return value < 0, repr(abs(value))
-    terms = [(k, c) for k, c in enumerate(coeff.coeffs) if c != 0]
-    if len(terms) == 1:
-        k, c = terms[0]
-        neg = c < 0
-        mag = -c if neg else c
-        if k == 0:
-            return neg, None if mag == 1 else format_rational(mag)
-        name = ring.param if k == 1 else "%s^%d" % (ring.param, k)
-        if mag == 1:
-            return neg, name
-        return neg, "%s*%s" % (format_rational(mag), name)
-    parts = []
-    for k, c in terms:
-        sub_neg, text = _coeff_text(c, RationalExact())
-        piece = text or "1"
-        if k:
-            name = ring.param if k == 1 else "%s^%d" % (ring.param, k)
-            piece = name if text is None else "%s*%s" % (piece, name)
-        if parts:
-            parts.append("- %s" % piece if sub_neg else "+ %s" % piece)
-        else:
-            parts.append("-%s" % piece if sub_neg else piece)
-    return False, "(%s)" % " ".join(parts)
-
-
 def _terms(series, suffix):
     out = []
     for key in sorted(series.coeffs, key=lambda k: (k[0] + k[1], -k[0])):
-        neg, coeff = _coeff_text(series.coeffs[key], series.ring)
+        neg, coeff = series.ring.signed_text(series.coeffs[key])
         parts = [] if coeff is None else [coeff]
         for name, power in zip(VARIABLES, key):
             if power == 1:

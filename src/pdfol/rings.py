@@ -17,6 +17,26 @@ Elements are plain values (``mpq``/``Fraction``, ``mpmath.mpc``,
 ``ParamPoly``), so client code can also use native operators once values
 have been coerced.
 
+Everything that differs by ring is a method of ``CoefficientRing``, so
+callers never branch on the ring's type.  The interface:
+
+* elements: ``zero``, ``one``, ``coerce``, ``from_rational``,
+  ``as_rational``, ``symbol`` (the element a name of the input grammar
+  stands for);
+* arithmetic: ``add``, ``sub``, ``mul``, ``neg``, ``invert``, ``div``,
+  ``is_zero``, ``eq`` and the series kernel ``combine``;
+* text: ``format_coeff``, ``signed_text`` (for the input grammar's
+  printer) and ``json_value``;
+* numbers: ``to_complex``, ``negligible`` and ``near_rational`` take an
+  element or a numeric approximation of one (an eigenvalue, a root);
+  numbers are compared within ``tol`` at ``precision`` bits, which the
+  exact rings fix at 1e-9 and 64;
+* solving: ``roots`` of a polynomial and ``char_roots`` of a 2x2
+  characteristic polynomial, exact where the ring can be;
+* checks: ``series_close`` compares two series and ``residual_valuation``
+  reads the valuation of a residual; only ``ComplexApprox`` allows for
+  roundoff, and only it builds the bound that takes.
+
 Each ring owns the inner loop of series products and substitutions,
 ``combine(terms, order, degree, add_keys)``: the sum of c*x^shift*right
 over ``(shift, c, right)`` terms (one per left key of a product, one per
@@ -34,12 +54,13 @@ finite reals by one ``mpf_mul`` (``mpc_mul`` rounds exact products once).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_mul,
                           mpc_neg, mpc_sub, mpf_le, mpf_mul, round_nearest)
 
-from .errors import MathError, NotInvertibleError
+from .errors import InputError, MathError, NotInvertibleError
 
 try:
     from gmpy2 import mpq as _mpq
@@ -51,15 +72,14 @@ try:
         return _mpq(num, den)
 
 except ImportError:  # gmpy2 is the optional ``fast`` extra
-    from fractions import Fraction as _Fraction
-
     def rational(num=0, den=None):
         if den is None:
-            return _Fraction(num)
-        return _Fraction(num, den)
+            return Fraction(num)
+        return Fraction(num, den)
 
 
 _RATIONAL_TYPE = type(rational(0))
+_NUMBERS = (mpmath.mpc, mpmath.mpf, float, complex)  # numeric approximations
 
 
 def is_rational(value) -> bool:
@@ -82,6 +102,14 @@ def rational_sqrt(q):
     if rn * rn != num or rd * rd != den:
         return None
     return rational(rn, rd)
+
+
+def small_rational(x, tol, max_den=1000):
+    """Best small-denominator rational within 10*tol of the real x, or None."""
+    f = Fraction(float(x)).limit_denominator(max_den)
+    if abs(float(f) - float(x)) <= 10 * tol * max(1.0, abs(float(x))):
+        return rational(f.numerator, f.denominator)
+    return None
 
 
 def format_rational(q) -> str:
@@ -235,10 +263,14 @@ class CoefficientRing:
     Subclasses fix the element type; ``zero``/``one`` are canonical
     elements.  ``invert`` is partial and raises NotInvertibleError on
     non-units.  ``combine`` is the series kernel of the module docstring;
-    the exact rings share it and supply ``_scaled`` and ``_kernel``.
+    the exact rings share it and supply ``_scaled`` and ``_kernel``.  The
+    numeric methods here serve all three rings: a float element is a
+    number already.
     """
 
     name = "?"
+    precision = 64  # bits and tolerance of numeric approximations
+    tol = 1e-9
 
     def coerce(self, value):
         raise NotImplementedError
@@ -274,11 +306,77 @@ class CoefficientRing:
         """Exact rational value of an element, or None when there is none."""
         return None
 
+    def symbol(self, name):
+        """The element a name of the input grammar stands for, or None."""
+        return None
+
     def json_value(self, a):
         raise NotImplementedError
 
     def format_coeff(self, a) -> str:
         raise NotImplementedError
+
+    def signed_text(self, a):
+        """(negate, text) of a coefficient for the input grammar's printer:
+        its sign and the text of its magnitude, None for a bare 1."""
+        raise NotImplementedError
+
+    def to_complex(self, a):
+        """An element or a number as an ``mpmath.mpc``; a rational rounds
+        at the context precision.  MathError when there is no value."""
+        if isinstance(a, _NUMBERS):
+            return mpmath.mpc(a)
+        q = self.as_rational(a)
+        if q is None:
+            raise MathError("coefficient %s has no numeric value"
+                            % self.format_coeff(a))
+        return mpmath.mpc(mpmath.mpf(int(q.numerator)) / int(q.denominator))
+
+    def negligible(self, x, scale=1.0) -> bool:
+        """Whether x is zero: an element exactly, a number within
+        ``tol * scale``."""
+        if isinstance(x, _NUMBERS):
+            return abs(x) <= self.tol * scale
+        return self.is_zero(x)
+
+    def near_rational(self, x):
+        """The rational x stands for, or None: an element's exact value,
+        else ``small_rational`` of a number with negligible imaginary
+        part."""
+        if not isinstance(x, _NUMBERS):
+            return self.as_rational(x)
+        if not self.negligible(x.imag):
+            return None
+        return small_rational(x.real, self.tol)
+
+    def roots(self, coeffs):
+        """[(root, multiplicity, approximate)] of the polynomial with the
+        ascending ``coeffs``, of degree >= 1 with a nonzero leading term:
+        numeric here, exact where a subclass can."""
+        if len(coeffs) == 2:
+            return [(self.neg(self.div(coeffs[0], coeffs[1])), 1, True)]
+        with mpmath.workprec(self.precision):
+            found = mpmath.polyroots([self.to_complex(c)
+                                      for c in reversed(coeffs)],
+                                     maxsteps=100, extraprec=50)
+        return [(mpmath.mpc(r), 1, True) for r in found]
+
+    def char_roots(self, tr, det):
+        """The roots of t^2 - tr*t + det and whether they are exact."""
+        rad = mpmath.sqrt(tr * tr - 4 * det)
+        half = self.coerce(rational(1, 2))
+        return (self.mul(self.add(tr, rad), half),
+                self.mul(self.sub(tr, rad), half)), False
+
+    def series_close(self, s1, s2) -> bool:
+        """Whether two one-variable series agree: equal here."""
+        return s1 == s2
+
+    def residual_valuation(self, residual, bound):
+        """Valuation of a series that vanishes in exact arithmetic.  An
+        exact ring reads it off and never calls ``bound``, the function
+        that builds the series over absolute values."""
+        return residual.valuation()
 
     def combine(self, terms, order, degree, add_keys):
         rights = {id(right): right for _, _, right in terms}
@@ -334,6 +432,31 @@ class RationalExact(CoefficientRing):
     def as_rational(self, a):
         return rational(a)
 
+    def roots(self, coeffs):
+        if len(coeffs) == 2:
+            return [(self.neg(self.div(coeffs[0], coeffs[1])), 1, False)]
+        if len(coeffs) == 3:
+            c0, c1, c2 = coeffs
+            disc = c1 * c1 - 4 * c0 * c2
+            sq = rational_sqrt(disc) if disc >= 0 else None
+            if sq is not None:
+                half = rational(1, 2) / c2
+                r1, r2 = (-c1 + sq) * half, (-c1 - sq) * half
+                if r1 == r2:
+                    return [(r1, 2, False)]
+                return [(r1, 1, False), (r2, 1, False)]
+        return super().roots(coeffs)
+
+    def char_roots(self, tr, det):
+        disc = tr * tr - 4 * det
+        root = rational_sqrt(disc) if disc >= 0 else None
+        if root is None:
+            half = self.to_complex(tr).real / 2
+            rad = mpmath.sqrt(self.to_complex(disc).real) / 2
+            return (mpmath.mpc(half + rad), mpmath.mpc(half - rad)), False
+        two_inv = rational(1, 2)
+        return ((tr + root) * two_inv, (tr - root) * two_inv), True
+
     @staticmethod
     def _scaled(values):
         scale = math.lcm(*[v.denominator for v in values])
@@ -360,6 +483,11 @@ class RationalExact(CoefficientRing):
 
     def format_coeff(self, a) -> str:
         return format_rational(a)
+
+    def signed_text(self, a):
+        neg = a < 0
+        mag = -a if neg else a
+        return neg, None if mag == 1 else format_rational(mag)
 
 
 _make_mpc = mpmath.mp.make_mpc
@@ -465,8 +593,27 @@ class ComplexApprox(CoefficientRing):
         with mpmath.workprec(self.precision):
             return mpmath.mpc(mpmath.mpf(int(q.numerator)) / int(q.denominator))
 
-    def as_rational(self, a):
-        return None
+    def series_close(self, s1, s2) -> bool:
+        """Coefficientwise within tol of the largest magnitude (at least 1)."""
+        order = min(s1.order, s2.order)
+        keys = {k for k in set(s1.coeffs) | set(s2.coeffs) if k <= order}
+        pairs = [(self.to_complex(s1.coefficient(k)),
+                  self.to_complex(s2.coefficient(k))) for k in keys]
+        scale = max([1.0] + [abs(a) for a, _ in pairs]
+                    + [abs(b) for _, b in pairs])
+        return all(self.negligible(a - b, scale) for a, b in pairs)
+
+    def residual_valuation(self, residual, bound):
+        """Roundoff in a residual coefficient is relative to the same
+        expression over absolute values, ``bound()``, coefficient by
+        coefficient: a coefficient within tol of that bound counts as
+        zero."""
+        bound = bound().coeffs
+        zero = self.zero
+        return min((residual._degree(key)
+                    for key, c in residual.coeffs.items()
+                    if abs(c) > self.tol * max(1.0, abs(bound.get(key, zero)))),
+                   default=math.inf)
 
     def json_value(self, a):
         return [float(a.real), float(a.imag)]
@@ -478,6 +625,13 @@ class ComplexApprox(CoefficientRing):
         if not imag.startswith("-"):
             imag = "+" + imag
         return "(%s%sj)" % (mpmath.nstr(a.real, 17), imag)
+
+    def signed_text(self, a):
+        if abs(a.imag) != 0:
+            raise InputError("cannot print a complex coefficient in the "
+                             "input grammar")
+        value = float(a.real)
+        return value < 0, repr(abs(value))
 
 
 class ParamPolyRing(CoefficientRing):
@@ -519,6 +673,29 @@ class ParamPolyRing(CoefficientRing):
     def from_rational(self, q):
         return ParamPoly((q,))
 
+    def symbol(self, name):
+        return self.generator if name == self.param else None
+
+    def roots(self, coeffs):
+        consts = [c.constant_value() for c in coeffs]
+        if None not in consts:
+            found = RationalExact().roots(consts)
+            if any(approximate for _, _, approximate in found):
+                raise MathError("parametric mode needs exact rational roots")
+            return [(self.coerce(r), k, False) for r, k, _ in found]
+        lead = consts[-1]
+        if len(coeffs) == 2:
+            if lead is None or lead == 0:
+                raise MathError(
+                    "parametric root finding needs a constant leading term")
+            return [(self.mul(coeffs[0], self.coerce(rational(-1) / lead)),
+                     1, False)]
+        raise MathError("parametric roots are only found for linear factors")
+
+    def char_roots(self, tr, det):
+        raise MathError("cannot solve a full 2x2 eigenproblem over Q[%s]"
+                        % self.param)
+
     @staticmethod
     def _scaled(values):
         scale = math.lcm(*[c.denominator for v in values for c in v.coeffs])
@@ -556,3 +733,10 @@ class ParamPolyRing(CoefficientRing):
 
     def format_coeff(self, a) -> str:
         return a.format(self.param)
+
+    def signed_text(self, a):
+        if sum(1 for c in a.coeffs if c) > 1:
+            return False, "(%s)" % a.format(self.param)
+        neg = a.coeffs[-1] < 0
+        mag = -a if neg else a
+        return neg, None if mag == self.one else mag.format(self.param)

@@ -222,6 +222,15 @@ def test_cli_holonomy_numeric():
     assert "0.05 ->" in out and "-0.0499" in out
 
 
+@pytest.mark.parametrize("center", ["abc", "1/0"])
+def test_cli_holonomy_bad_center_is_input_error(center):
+    code, out, err = run(["holonomy", "--numeric", "--samples", "0.1",
+                          "--center", center, "--mode", "float",
+                          "--expr", "x*dy - 2*y*dx - x^2*dx"])
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: --center must be rational")
+
+
 def test_cli_exit_codes_cover_error_classes():
     code, _, err = run(["classify", "--expr", "dx + ("])
     assert code == 2 and "error[input]" in err
