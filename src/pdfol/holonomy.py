@@ -15,6 +15,7 @@ transported.  Pass ``omega.swapped()`` to loop in the first variable.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -132,20 +133,33 @@ def exp_vf(Y: VectorField1, N: int) -> FormalDiffeo1:
 
     Each application of Y raises the valuation, so the sum is finite at
     any truncation order."""
+    flow, = _lie_flows(Y, N, False)
+    return flow
+
+
+def _lie_flows(Y: VectorField1, N: int, both: bool):
+    """[exp(Y)], or [exp(Y), exp(-Y)] when ``both``, from one Lie series.
+
+    The k-th term of -Y is (-1)^k times that of Y, bit for bit: negation
+    commutes with every rounded product, sum, derivative and scaling.  So
+    exp(-Y) adds the even terms and subtracts the odd ones."""
     f = Y.f
     ring = f.ring
     if f.truncated and f.order < N:
         raise PrecisionError("flow field known only to order %d < N = %d"
                              % (f.order, N))
     x = Series1.monomial(ring, f.variable, N, 1)
-    total = x
-    term = x
+    plus = minus = term = x
     k = 1
     while not term.is_zero() and k <= N:
         term = _apply_vf(f, term, N).scale(ring.coerce(rational(1, k)))
-        total = total + term
+        plus = plus + term
+        if both:
+            minus = minus - term if k % 2 else minus + term
         k += 1
-    return FormalDiffeo1(ring.coerce(1), total - x)
+    one = ring.coerce(1)
+    return [FormalDiffeo1(one, total - x)
+            for total in ((plus, minus) if both else (plus,))]
 
 
 def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
@@ -171,13 +185,9 @@ def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
             lower = slopes[k - 1]
             if not lower:  # T_(k-1) vanishes below degree d, so T_k does
                 break
-            acc = None
-            for i, fi in f.items():  # ascending: filled degree by degree
-                v = lower.get(d - i + 1)
-                if v is None:
-                    continue
-                term = ring.mul(fi, v)
-                acc = term if acc is None else ring.add(acc, term)
+            # f ascends: it is filled degree by degree
+            acc = ring.dot((fi, lower[d - i + 1]) for i, fi in f.items()
+                           if d - i + 1 in lower)
             if acc is None:
                 continue
             acc = ring.mul(acc, ring.coerce(rational(1, k)))
@@ -206,8 +216,9 @@ def conjugate(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
 
 
 def group_commutator(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
-    """g o h o g^{-1} o h^{-1}."""
-    return compose(compose(g, h), compose(inverse(g), inverse(h)))
+    """g o h o g^{-1} o h^{-1}, formed as the same element
+    (g o h) o (h o g)^{-1}: one reversion and three compositions."""
+    return compose(compose(g, h), inverse(compose(h, g)))
 
 
 def diffeo_close(h: FormalDiffeo1, g: FormalDiffeo1) -> bool:
@@ -246,10 +257,21 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
     """Transport sample transversal points around the divisor loop.
 
     The loop is the circle of the given radius around ``center`` in the
-    second variable; for every x0 in ``samples`` the leaf-lift ODE
-    dx/dz = -b(x, z)/a(x, z) is integrated once around with an adaptive
-    high-order Runge-Kutta pair.  Returns the end values.
+    second variable; the leaf-lift ODE dx/dz = -b(x, z)/a(x, z) is
+    integrated once around with an adaptive high-order Runge-Kutta pair,
+    for all samples as one system, so they share one step sequence (each
+    keeps its own absolute tolerance).  Returns the end values.
+
+    InputError unless the radius is finite and positive and the center
+    and every sample are finite.
     """
+    c0 = complex(center)
+    r = float(radius)
+    starts = [complex(x0) for x0 in samples]
+    if not (math.isfinite(r) and r > 0):
+        raise InputError("loop radius must be finite and positive")
+    if not all(map(cmath.isfinite, [c0] + starts)):
+        raise InputError("loop center and samples must be finite")
     # scipy is most of the package's import time, and only this uses it
     from scipy.integrate import solve_ivp
 
@@ -261,10 +283,6 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
     if not a_terms:
         raise MathError("the dx-coefficient vanishes identically; the "
                         "transversal fibration degenerates along the loop")
-    c0 = complex(center)
-    r = float(radius)
-    if r <= 0:
-        raise InputError("loop radius must be positive")
 
     restriction = omega.a.restrict_first_zero()
     if not restriction.is_zero():
@@ -280,25 +298,27 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
     two_pi_i = 2j * cmath.pi
 
     def rhs(t, y):
-        z = c0 + r * cmath.exp(two_pi_i * t)
-        dz = two_pi_i * r * cmath.exp(two_pi_i * t)
-        xv = complex(y[0], y[1])
-        av = _eval2(a_terms, xv, z)
-        if av == 0:
-            raise MathError("leaf lift hit a zero of the dx-coefficient")
-        value = -(_eval2(b_terms, xv, z) / av) * dz
-        return [value.real, value.imag]
+        turn = cmath.exp(two_pi_i * t)
+        z = c0 + r * turn
+        dz = two_pi_i * r * turn
+        out = []
+        for k in range(0, len(y), 2):
+            xv = complex(y[k], y[k + 1])
+            av = _eval2(a_terms, xv, z)
+            if av == 0:
+                raise MathError("leaf lift hit a zero of the dx-coefficient")
+            value = -(_eval2(b_terms, xv, z) / av) * dz
+            out += (value.real, value.imag)
+        return out
 
-    results = []
-    for x0 in samples:
-        start = complex(x0)
-        sol = solve_ivp(rhs, (0.0, 1.0), [start.real, start.imag],
-                        method="DOP853", rtol=rtol,
-                        atol=1e-14 * max(1.0, abs(start)), max_step=0.05)
-        if not sol.success:
-            raise MathError("holonomy transport failed: %s" % sol.message)
-        results.append(mpmath.mpc(sol.y[0, -1], sol.y[1, -1]))
-    return results
+    y0 = [part for x0 in starts for part in (x0.real, x0.imag)]
+    atol = [1e-14 * max(1.0, abs(x0)) for x0 in starts for _ in (0, 1)]
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol,
+                    atol=atol, max_step=0.05)
+    if not sol.success:
+        raise MathError("holonomy transport failed: %s" % sol.message)
+    return [mpmath.mpc(sol.y[k, -1], sol.y[k + 1, -1])
+            for k in range(0, len(y0), 2)]
 
 
 @dataclass(frozen=True)
@@ -335,8 +355,7 @@ def group_model(p: int, m: int, Y: VectorField1, N: int,
             raise MathError("mu is not an m-th root of unity")
         if not ring.negligible(ring.to_complex(lam) ** p - 1):
             raise MathError("lambda is not a p-th root of unity")
-    plus = exp_vf(Y, N)
-    minus = exp_vf(-Y, N)
+    plus, minus = _lie_flows(Y, N, True)
     ratio = ring.div(lam, mu)
     h1 = FormalDiffeo1(mu, plus.tail.scale(mu))
     h2 = FormalDiffeo1(ratio, minus.tail.scale(ratio))

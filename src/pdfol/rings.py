@@ -24,7 +24,8 @@ callers never branch on the ring's type.  The interface:
   ``as_rational``, ``symbol`` (the element a name of the input grammar
   stands for);
 * arithmetic: ``add``, ``sub``, ``mul``, ``neg``, ``invert``, ``div``,
-  ``is_zero``, ``eq`` and the series kernel ``combine``;
+  ``is_zero``, ``eq``, the dot product ``dot`` and the series kernel
+  ``combine``;
 * text: ``format_coeff``, ``signed_text`` (for the input grammar's
   printer) and ``json_value``;
 * numbers: ``to_complex``, ``negligible`` and ``near_rational`` take an
@@ -299,6 +300,15 @@ class CoefficientRing:
     def div(self, a, b):
         return self.mul(a, self.invert(b))
 
+    def dot(self, pairs):
+        """The sum of a*b over ``pairs``, folded in the order given by
+        ``mul`` and ``add``; None when there are no pairs."""
+        acc = None
+        for a, b in pairs:
+            term = self.mul(a, b)
+            acc = term if acc is None else self.add(acc, term)
+        return acc
+
     def from_rational(self, q):
         raise NotImplementedError
 
@@ -508,6 +518,10 @@ class ComplexApprox(CoefficientRing):
         self.precision = int(precision)
         self.tol = float(tol)
         self._tol = from_float(self.tol)
+        # 2^K > tol for the smallest such K; is_zero's exponent test
+        # needs tol < 1/2 and is off otherwise
+        self._nonzero_exp = math.frexp(self.tol)[1] if self.tol < 0.5 \
+            else math.inf
         with mpmath.workprec(self.precision):
             self.zero = mpmath.mpc(0)
             self.one = mpmath.mpc(1)
@@ -547,12 +561,31 @@ class ComplexApprox(CoefficientRing):
     def is_zero(self, a) -> bool:
         """``eq(a, zero)``: |a| <= tol * max(1, |a|), with |a| and the
         product rounded to ``precision`` bits as there, computed on the
-        raw mpmath tuples with no subtraction or precision context."""
-        size = mpc_abs(a._mpc_, self.precision, round_nearest)
+        raw mpmath tuples with no subtraction or precision context.
+
+        Most values are decided by exponents alone.  A part m*2^e whose
+        mantissa m is nonzero and has bc bits is at least 2^(e + bc - 1)
+        in magnitude.  When that reaches 2^K, the least power of two
+        above tol, |a| rounds to at least 2^K > tol, and since tol < 1/2
+        also |a| > tol*|a|: the answer is False, with no square root."""
+        (_, rman, rexp, rbc), (_, iman, iexp, ibc) = parts = a._mpc_
+        big = self._nonzero_exp
+        if (rman and rexp + rbc > big) or (iman and iexp + ibc > big):
+            return False
+        size = mpc_abs(parts, self.precision, round_nearest)
         if mpf_le(size, fone):
             return mpf_le(size, self._tol)
         return mpf_le(size, mpf_mul(self._tol, size, self.precision,
                                     round_nearest))
+
+    def dot(self, pairs):
+        """``mul`` and ``add`` on the raw mpmath tuples, wrapped once."""
+        prec = self.precision
+        acc = None
+        for a, b in pairs:
+            p = mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)
+            acc = p if acc is None else mpc_add(acc, p, prec, round_nearest)
+        return None if acc is None else _make_mpc(acc)
 
     def combine(self, terms, order, degree, add_keys):
         prec = self.precision

@@ -291,20 +291,22 @@ class _Series:
         tail = [(key, exponents(key)[0], exponents(key)[-1], c)
                 for key, c in tail]
         inv = {one: inv0}
+
+        def pairs(key):
+            """(u_k, v_(key-k)) over the tail terms k that divide key."""
+            first, last = exponents(key)[0], exponents(key)[-1]
+            for tkey, tfirst, tlast, c in tail:
+                if tfirst > first:
+                    break
+                if tlast > last:
+                    continue
+                v = inv.get(sub_keys(key, tkey))
+                if v is not None:
+                    yield c, v
+
         for d in range(1, self.order + 1):
             for key in self._monomials(d):
-                first, last = exponents(key)[0], exponents(key)[-1]
-                acc = None
-                for tkey, tfirst, tlast, c in tail:
-                    if tfirst > first:
-                        break
-                    if tlast > last:
-                        continue
-                    v = inv.get(sub_keys(key, tkey))
-                    if v is None:
-                        continue
-                    term = ring.mul(c, v)
-                    acc = term if acc is None else ring.add(acc, term)
+                acc = ring.dot(pairs(key))
                 if acc is not None:
                     acc = ring.mul(neg0, acc)
                     if not ring.is_zero(acc):
@@ -531,26 +533,13 @@ class Series1(_Series):
         for n in range(2, self.order + 1):
             for j in range(2, min(n, len(powers) - 1) + 1):
                 lower = powers[j - 1]
-                acc = None
-                for a, ga in g.items():  # ascending: filled degree by degree
-                    if a > n - j + 1:
-                        break
-                    v = lower.get(n - a)
-                    if v is None:
-                        continue
-                    term = ring.mul(ga, v)
-                    acc = term if acc is None else ring.add(acc, term)
+                acc = ring.dot((g[a], lower[n - a])
+                               for a in range(1, n - j + 2)
+                               if a in g and n - a in lower)
                 if acc is not None:
                     powers[j][n] = acc
-            acc = None
-            for k, c in tail:
-                if k > n:
-                    break
-                v = powers[k].get(n)
-                if v is None:
-                    continue
-                term = ring.mul(c, v)
-                acc = term if acc is None else ring.add(acc, term)
+            acc = ring.dot((c, powers[k][n]) for k, c in tail
+                           if n in powers[k])
             if acc is not None:
                 acc = ring.mul(neg_inv, acc)
                 if not ring.is_zero(acc):

@@ -222,6 +222,16 @@ def test_cli_holonomy_numeric():
     assert "0.05 ->" in out and "-0.0499" in out
 
 
+@pytest.mark.parametrize("radius, samples", [
+    ("nan", "0.05"), ("inf", "0.05"), ("1.0", "nan"), ("1.0", "0.05,inf")])
+def test_cli_holonomy_non_finite_input_is_input_error(radius, samples):
+    code, out, err = run(["holonomy", "--numeric", "--radius", radius,
+                          "--samples", samples, "--mode", "float",
+                          "--expr", "x*dy - 2*y*dx - x^2*dx"])
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: loop ")
+
+
 @pytest.mark.parametrize("center", ["abc", "1/0"])
 def test_cli_holonomy_bad_center_is_input_error(center):
     code, out, err = run(["holonomy", "--numeric", "--samples", "0.1",

@@ -3,10 +3,13 @@ complex floats, and one-parameter polynomials."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath
 import pytest
+from mpmath.libmp import (fone, from_float, mpc_abs, mpf_le, mpf_mul,
+                          round_nearest)
 
 from pdfol.errors import NotInvertibleError
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing,
@@ -81,6 +84,41 @@ def test_complex_is_zero_is_eq_to_zero():
             assert CC.is_zero(a) == CC.eq(a, CC.zero), value
     assert CC.is_zero(CC.coerce(tol)) and CC.is_zero(CC.zero)
     assert not CC.is_zero(CC.coerce(tol * (1 + 1e-6)))
+
+
+def _is_zero_by_abs(ring, a):
+    """The definition: |a| <= tol * max(1, |a|), |a| and the product
+    rounded to nearest at the ring's precision."""
+    prec = ring.precision
+    size = mpc_abs(a._mpc_, prec, round_nearest)
+    tol = from_float(ring.tol)
+    if mpf_le(size, fone):
+        return mpf_le(size, tol)
+    return mpf_le(size, mpf_mul(tol, size, prec, round_nearest))
+
+
+@pytest.mark.parametrize("precision", [53, 64, 200])
+@pytest.mark.parametrize("tol", [1e-9, 1e-30, 0.5, 2.0])
+def test_complex_is_zero_matches_abs_at_power_of_two_boundaries(precision,
+                                                                 tol):
+    """is_zero answers most values from exponents alone; at the powers of
+    two next to tol it must still agree with the definition."""
+    ring = ComplexApprox(precision=precision, tol=tol)
+    K = math.frexp(tol)[1]  # the least K with 2^K > tol
+    with mpmath.workprec(precision):
+        below = mpmath.ldexp(1, K) * (1 - mpmath.ldexp(1, -precision))
+        sizes = [mpmath.ldexp(1, K), mpmath.ldexp(1, K - 1), below,
+                 mpmath.mpf(tol), mpmath.mpf(tol) * (1 + mpmath.mpf(1e-6)),
+                 mpmath.mpf(1), mpmath.mpf(0)]
+        values = [s * unit for s in sizes for unit in (1, -1, 1j, -1j)]
+        values += [mpmath.mpc(below, below), mpmath.mpc(below / 2, below),
+                   mpmath.mpc(tol / 2, tol / 2)]
+    for value in values:
+        a = ring.coerce(value)
+        assert ring.is_zero(a) == _is_zero_by_abs(ring, a), (value, tol)
+    if tol < 0.5:
+        assert not ring.is_zero(ring.coerce(mpmath.ldexp(1, K)))
+        assert ring.is_zero(ring.coerce(tol)) and ring.is_zero(ring.zero)
 
 
 def test_complex_precision_and_invert():

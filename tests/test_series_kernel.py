@@ -1,5 +1,5 @@
-"""Property test of the ring kernel behind series products
-(``CoefficientRing.combine``).
+"""Property tests of the ring kernels behind series arithmetic: the
+product kernel ``CoefficientRing.combine`` and the dot product ``dot``.
 
 Products must give what the plain pairwise loop gives
 (``util.product_by_pairs``) in all three rings: the same keys in the
@@ -8,7 +8,9 @@ tuples), and the same order and truncated flag.  The data mix large
 coprime denominators, complex floats with real ones, parameter
 polynomials of different degrees whose products cancel, and truncated
 operands.  Substitutions are checked against the same loop in
-test_series_properties."""
+test_series_properties.  ``dot`` must give what folding ``ring.mul``
+and ``ring.add`` over the pairs in order gives, bit for bit, and None
+for no pairs."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -95,3 +97,31 @@ def test_products_match_pairwise_loop(a_data, b_data):
                            if i == 0}, truncated=s.truncated)
                   for s in (a, b))
         same(a1 * b1, product_by_pairs(a1, b1), ring.name)
+
+
+def dot_by_fold(ring, pairs):
+    acc = None
+    for a, b in pairs:
+        term = ring.mul(a, b)
+        acc = term if acc is None else ring.add(acc, term)
+    return acc
+
+
+@PROPERTY
+@given(st.lists(st.tuples(SPECS, SPECS), max_size=6))
+@example([])
+# a sum that cancels to zero, and complex terms among real ones
+@example([(([1], 0), ([rational(2, 3)], 0)),
+          (([-1], 0), ([rational(2, 3)], 0))])
+@example([(([rational(1, 7)], rational(1, 3)), ([rational(5, 11)], 0)),
+          (([rational(1, 999999999989)], 0), ([3], rational(-2, 7)))])
+def test_dot_matches_pairwise_fold(spec_pairs):
+    for ring in RINGS:
+        pairs = [(spec_value(ring, a), spec_value(ring, b))
+                 for a, b in spec_pairs]
+        want = dot_by_fold(ring, pairs)
+        for got in (ring.dot(pairs), ring.dot(iter(pairs))):
+            if want is None:
+                assert got is None, ring.name
+            else:
+                assert raw(ring, got) == raw(ring, want), ring.name
