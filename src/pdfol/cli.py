@@ -106,6 +106,20 @@ def _env_int(name):
         raise InputError("%s=%r is not an integer" % (name, raw))
 
 
+def _order(args):
+    """The truncation order of ``--order``, else of FF_ORDER, else None;
+    InputError when the one given is below 1."""
+    if args.order is not None:
+        if args.order < 1:
+            raise InputError("--order must be at least 1, got %d"
+                             % args.order)
+        return args.order
+    order = _env_int("FF_ORDER")
+    if order is not None and order < 1:
+        raise InputError("FF_ORDER must be at least 1, got %d" % order)
+    return order
+
+
 def _inputs(args):
     """[(label, text)] from --expr or --input; label is None for --expr."""
     if args.expr is not None and args.input is not None:
@@ -131,10 +145,8 @@ def _inputs(args):
 
 
 def _parse(args, text):
-    order = args.order
-    if order is None:
-        order = _env_int("FF_ORDER")
-    return parse_expr(text, args.mode, order or 24,
+    order = _order(args)
+    return parse_expr(text, args.mode, 24 if order is None else order,
                       precision=_env_int("FF_PRECISION"))
 
 
@@ -168,7 +180,7 @@ def _print_form_generic(form):
 def _cmd_classify(args, out):
     for label, text in _inputs(args):
         expr = _parse(args, text)
-        rep = analyze(expr.form, N=args.order or _env_int("FF_ORDER"))
+        rep = analyze(expr.form, N=_order(args))
         if label is not None:
             out.write("== %s ==\n" % label)
         for key, value in rep.json(expr.form.ring).items():
@@ -250,7 +262,9 @@ def _cmd_normal_form(args, out):
     for label, text in _inputs(args):
         expr = _parse(args, text)
         data, m, z1 = _resonance(expr.form)
-        N = args.order or _env_int("FF_ORDER") or default_order(data.p, m)
+        N = _order(args)
+        if N is None:
+            N = default_order(data.p, m)
         path = blowup_chain(expr.form, data.p)
         local = recenter(path.final, expr.form.ring.from_rational(z1))
         result = normalize(to_fibered_field(local, m), N)
@@ -270,8 +284,8 @@ def _cmd_holonomy(args, out):
     if args.formal:
         if args.m is None or args.m < 2:
             raise InputError("--formal needs --m >= 2")
-        N = args.order or _env_int("FF_ORDER") or 24
-        h = pd_holonomy_model(args.m, N)
+        N = _order(args)
+        h = pd_holonomy_model(args.m, 24 if N is None else N)
         out.write("multiplier: %s\n" % _fmt(h.multiplier, h.ring))
         out.write("series: %s\n" % h.format())
         return 0
@@ -310,7 +324,7 @@ def _report_document(args, text):
     start = time.perf_counter()
     expr = _parse(args, text)
     ring = expr.form.ring
-    classification = analyze(expr.form, N=args.order or _env_int("FF_ORDER"))
+    classification = analyze(expr.form, N=_order(args))
     canonical = {
         "tool": {"name": "pdfol", "version": __version__},
         "input": {"source": expr.source, "canonical": expr.canonical(),

@@ -21,6 +21,7 @@ in graded order, and printing a parsed expression reparses to the same
 form, so the printed text is a canonical name for the input.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -133,8 +134,12 @@ class _Parser:
                 raise InputError("zero denominator at offset %d" % tok.pos)
             return self.ring.from_rational(rational(int(head), int(den)))
         if "." in text or "e" in text.lower():
+            value = float(text)
+            if not math.isfinite(value):
+                raise InputError("decimal literal %r at offset %d is not a "
+                                 "finite double" % (text, tok.pos))
             try:
-                return self.ring.coerce(float(text))
+                return self.ring.coerce(value)
             except MathError:
                 raise InputError("decimal literal %r at offset %d needs "
                                  "float mode" % (text, tok.pos)) from None

@@ -48,8 +48,9 @@ sums come in the order of the plain pairwise loop.  ``RationalExact`` and
 ``ParamPolyRing`` scale all values to integers (integer lists in the
 parameter) over the lcm D of their denominators, sum integer products per
 key and build one element over D^2 per nonzero key.  ``ComplexApprox``
-adds and multiplies raw mpmath tuples as ``add``/``mul`` round, two
-finite reals by one ``mpf_mul`` (``mpc_mul`` rounds exact products once).
+splits each element once into signed integer mantissas and exponents and
+rounds each product and each sum as ``mul`` and ``add`` do, so its
+``combine`` and ``dot`` give the bits of ``mul`` then ``add``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_mul,
-                          mpc_neg, mpc_sub, mpf_le, mpf_mul, round_nearest)
+from mpmath.libmp import (fone, from_float, from_man_exp, mpc_abs, mpc_add,
+                          mpc_mul, mpc_neg, mpc_sub, mpf_le, mpf_mul,
+                          round_nearest)
 
 from .errors import InputError, MathError, NotInvertibleError
 
@@ -501,13 +503,73 @@ class RationalExact(CoefficientRing):
 
 
 _make_mpc = mpmath.mp.make_mpc
+_TABLE_SIZE = 512  # rationals ``ComplexApprox.coerce`` remembers per ring
+
+
+# The float kernels work on an element split into signed integer
+# mantissas and exponents, (rm, re, im, ie) for rm*2^re + i*im*2^ie.
+# A finite mpmath part is (sign, odd or zero mantissa, exponent, bits).
+
+def _split(a):
+    (rs, rm, re, _), (is_, im, ie, _) = a._mpc_
+    return (-rm if rs else rm), re, (-im if is_ else im), ie
+
+
+def _join(rm, re, im, ie):
+    return _make_mpc((from_man_exp(rm, re), from_man_exp(im, ie)))
+
+
+def _add(a, ea, b, eb, prec):
+    """a*2^ea + b*2^eb rounded to ``prec`` bits, to nearest and ties to
+    even, with the bits of ``mpf_add``.  That rounds the exact sum once,
+    except when the exponents differ by more than 100 and the smaller
+    value lies more than prec + 4 bits below the larger: then it rounds
+    the larger one nudged by one unit 2^(prec + 4) below its last bit
+    toward the smaller.  The two agree unless the larger has more than
+    prec + 1 bits, as an exact product has."""
+    if a and b:
+        off = ea - eb
+        if off >= 0:
+            if off > 100 and a.bit_length() - b.bit_length() + off > prec + 4:
+                a, ea = (a << prec + 4) + (1 if b > 0 else -1), ea - prec - 4
+            else:
+                a, ea = (a << off) + b, eb
+        elif off < -100 and b.bit_length() - a.bit_length() - off > prec + 4:
+            a, ea = (b << prec + 4) + (1 if a > 0 else -1), eb - prec - 4
+        else:
+            a += b << -off
+    elif b:
+        a, ea = b, eb
+    n = a.bit_length() - prec
+    if n <= 0:
+        return a, ea
+    q = a >> n - 1  # floor: the bit below the kept ones is q's last
+    if q & 1 and (q & 2 or a & (1 << n - 1) - 1):
+        return (q >> 1) + 1, ea + n
+    return q >> 1, ea + n
+
+
+def _mul(a, b, prec):
+    """``mpc_mul``: each part's exact sum of exact products, rounded once
+    by ``_add``.  The mantissas of ``_split`` elements are odd, so the
+    products' are too, as ``mpf_add`` needs them for its exponent test."""
+    ar, ae, ai, aie = a
+    br, be, bi, bie = b
+    return (_add(ar * br, ae + be, -(ai * bi), aie + bie, prec)
+            + _add(ar * bi, ae + bie, ai * br, aie + be, prec))
+
+
+def _sum(a, b, prec):
+    """``mpc_add`` of two ``_mul`` results or sums."""
+    return (_add(a[0], a[1], b[0], b[1], prec)
+            + _add(a[2], a[3], b[2], b[3], prec))
 
 
 class ComplexApprox(CoefficientRing):
     """Complex floats with a configurable mantissa and comparison tolerance.
 
     Equality is relative: |a - b| <= tol * max(1, |a|, |b|).  All arithmetic
-    runs at ``precision`` bits.
+    runs at ``precision`` bits, and every element is finite.
     """
 
     name = "float"
@@ -522,6 +584,7 @@ class ComplexApprox(CoefficientRing):
         # needs tol < 1/2 and is off otherwise
         self._nonzero_exp = math.frexp(self.tol)[1] if self.tol < 0.5 \
             else math.inf
+        self._rationals = {}
         with mpmath.workprec(self.precision):
             self.zero = mpmath.mpc(0)
             self.one = mpmath.mpc(1)
@@ -530,13 +593,30 @@ class ComplexApprox(CoefficientRing):
         return (self.precision, self.tol)
 
     def coerce(self, value):
-        with mpmath.workprec(self.precision):
-            if is_rational(value):
-                return mpmath.mpc(mpmath.mpf(int(value.numerator)) / int(value.denominator)) \
-                    if not isinstance(value, int) else mpmath.mpc(value)
-            if isinstance(value, (float, complex, mpmath.mpf, mpmath.mpc)):
-                return mpmath.mpc(value)
-        raise MathError("cannot interpret %r as a complex coefficient" % (value,))
+        """The element of ``value`` at ``precision`` bits.  An ``mpc``
+        whose parts are finite and fit is returned as it is; rationals
+        come from a table of at most ``_TABLE_SIZE`` entries.  MathError
+        for a value that is not finite."""
+        prec = self.precision
+        if isinstance(value, mpmath.mpc):
+            (_, _, _, rbc), (_, _, _, ibc) = value._mpc_
+            if 0 <= rbc <= prec and 0 <= ibc <= prec:  # specials have bc < 0
+                return value
+        elif is_rational(value):
+            out = self._rationals.get(value)
+            if out is None:
+                out = self.from_rational(value)
+                if len(self._rationals) < _TABLE_SIZE:
+                    self._rationals[value] = out
+            return out
+        elif not isinstance(value, (float, complex, mpmath.mpf)):
+            raise MathError("cannot interpret %r as a complex coefficient"
+                            % (value,))
+        with mpmath.workprec(prec):
+            out = mpmath.mpc(value)
+        if not mpmath.isfinite(out):
+            raise MathError("coefficient %r is not finite" % (value,))
+        return out
 
     # add, sub and mul round to ``precision`` bits, to nearest, on the raw
     # mpmath tuples: the same bits as native operators under
@@ -579,36 +659,35 @@ class ComplexApprox(CoefficientRing):
                                     round_nearest))
 
     def dot(self, pairs):
-        """``mul`` and ``add`` on the raw mpmath tuples, wrapped once."""
         prec = self.precision
         acc = None
         for a, b in pairs:
-            p = mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)
-            acc = p if acc is None else mpc_add(acc, p, prec, round_nearest)
-        return None if acc is None else _make_mpc(acc)
+            p = _mul(_split(a), _split(b), prec)
+            acc = p if acc is None else _sum(acc, p, prec)
+        return None if acc is None else _join(*acc)
 
     def combine(self, terms, order, degree, add_keys):
         prec = self.precision
+        rights = {}  # each right dict split once
         acc = {}
+        get = acc.get
         cut = False
         for shift, a, right in terms:
             limit = order - degree(shift)
-            a = a._mpc_
-            a_real = a[1] == fzero and (a[0][1] or a[0] == fzero)
-            for key, b in right.items():
-                if degree(key) > limit:
+            split = rights.get(id(right))
+            if split is None:
+                split = rights[id(right)] = [(key, degree(key), _split(b))
+                                             for key, b in right.items()]
+            a = _split(a)
+            for key, d, b in split:
+                if d > limit:
                     cut = True
                     continue
-                b = b._mpc_
-                if a_real and b[1] == fzero and (b[0][1] or b[0] == fzero):
-                    p = (mpf_mul(a[0], b[0], prec, round_nearest), fzero)
-                else:
-                    p = mpc_mul(a, b, prec, round_nearest)
                 key = add_keys(shift, key)
-                q = acc.get(key)
-                acc[key] = p if q is None else mpc_add(q, p, prec,
-                                                       round_nearest)
-        acc = {key: _make_mpc(v) for key, v in acc.items()}
+                p = _mul(a, b, prec)
+                q = get(key)
+                acc[key] = p if q is None else _sum(q, p, prec)
+        acc = {key: _join(*v) for key, v in acc.items()}
         return {key: v for key, v in acc.items() if not self.is_zero(v)}, cut
 
     def eq(self, a, b) -> bool:

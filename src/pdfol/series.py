@@ -330,11 +330,19 @@ class _Series:
     def _substitute(self, images, cache):
         """Evaluate the series with variable n replaced by ``images[n]``.
 
-        ``cache`` holds the power ladder of each image between calls that
-        share the images.  An image that is exactly its own variable (one
-        key, coefficient ``== ring.one``) builds no ladder: its power only
-        shifts the keys of the other factors' product.  The ring's
-        ``combine`` then sums c*x^shift*product over the terms."""
+        Each image's powers are built once, before the term loop, and
+        only those the terms read.  ``cache[n]`` maps an exponent to its
+        power of ``images[n]`` and keeps them between calls that share
+        the images.  image^1 is the image cut at the least image order;
+        the exponents read are built in ascending order as
+        image^e = image^d * image^(e-d), with d the largest exponent built
+        below e and image^(e-d) built first the same way.  Exponents
+        1..E with no gaps so take the products image^(e-1) * image of a
+        dense ladder, and no exponent takes more products than there.
+        An image that is exactly its own variable (one key, coefficient
+        ``== ring.one``) builds no powers: its power only shifts the keys
+        of the other factors' product.  The ring's ``combine`` then sums
+        c*x^shift*product over the terms."""
         first = images[0]
         if not isinstance(first, type(self)):
             raise TypeError("expected a %s operand" % type(self).__name__)
@@ -347,17 +355,16 @@ class _Series:
                 v == 0 and any(self._exponents(key)[n] for key in self.coeffs)
                 for n, v in enumerate(valuations)):
             raise PrecisionError(unsafe)
-        orders = [s.order for s in images]
-        order = min(self.order, *orders)
+        low = min(s.order for s in images)
+        order = min(self.order, low)
         if cache is None:
             cache = {}
-        one = first._like(min(orders), {first._CONSTANT: ring.coerce(1)}, False)
-        ladders = [cache.setdefault(n, [one]) for n in range(len(images))]
+        ladders = [cache.setdefault(n, {}) for n in range(len(images))]
         # native ==, not ring.eq: a float 1 + 1e-12 must still multiply
         bare = [image.coeffs == {var: ring.one}
                 for image, var in zip(images, self._VARIABLES)]
         exponents_of, key_of = self._exponents, self._key
-        terms = []
+        kept = []
         dropped = self.truncated or any(s.truncated for s in images)
         for key, c in self.coeffs.items():
             exponents = exponents_of(key)
@@ -374,15 +381,28 @@ class _Series:
             if floor > order:
                 dropped = True
                 continue
+            kept.append((exponents, c))
+        for n, (image, ladder, b) in enumerate(zip(images, ladders, bare)):
+            if b:  # a bare variable's power is a key shift
+                continue
+            for e in sorted({exponents[n] for exponents, _ in kept} - {0}):
+                if not ladder:
+                    ladder[1] = image.truncate(low)
+                pending = [] if e in ladder else [e]
+                while pending:
+                    e = pending[-1]
+                    d = max(k for k in ladder if k < e)
+                    if e - d in ladder:
+                        ladder[pending.pop()] = ladder[d] * ladder[e - d]
+                    else:
+                        pending.append(e - d)
+        one = first._like(low, {first._CONSTANT: ring.coerce(1)}, False)
+        terms = []
+        for exponents, c in kept:
             prod = one
-            for e, image, ladder, b in zip(exponents, images, ladders, bare):
-                # a factor image^0 = 1 would only copy prod; a bare
-                # variable's power is the key shift below
+            for e, ladder, b in zip(exponents, ladders, bare):
+                # a factor image^0 = 1 would only copy prod
                 if e and not b:
-                    if len(ladder) == 1:  # image^1 = one * image
-                        ladder.append(image.truncate(ladder[0].order))
-                    while len(ladder) <= e:
-                        ladder.append(ladder[-1] * image)
                     prod = ladder[e] if prod is one else prod * ladder[e]
             if prod.truncated:
                 dropped = True

@@ -80,6 +80,16 @@ def test_decimal_literal_needs_float_mode():
     assert parse_expr("0.5*dx", mode="float").form.a.coeffs
 
 
+def test_decimal_literal_must_be_a_finite_double():
+    """1e400 overflows a double; it used to become inf, which the float
+    ring's zero test then dropped with its term."""
+    for mode in ("float", "exact"):
+        with pytest.raises(InputError, match="'1e400' at offset 23"):
+            parse_expr("d(y^2+x^4) + -5*x^2*(1+1e400*x)*dy", mode)
+    form = parse_expr("d(y^2+x^4) + -5*x^2*(1+1e300*x)*dy", "float").form
+    assert complex(form.b.coefficient(3, 0)) == pytest.approx(-5e300)
+
+
 def test_unary_sign_chains():
     assert parse_expr("--x*dx") == parse_expr("x*dx")
     assert parse_expr("+-+x*dx") == parse_expr("0 - x*dx")
@@ -260,6 +270,32 @@ def test_cli_chart_form_zero_to_order_exits_4():
     assert code == 4 and out == ""
     assert "error[precision]" in err
     assert "blow-up 4, chart2" in err and "order" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--expr", SADDLE_EXPR],
+    ["report", "--json", "--expr", SADDLE_EXPR],
+    ["normal-form", "--expr", SADDLE_EXPR],
+    ["blowup", "--expr", SADDLE_EXPR],
+    ["holonomy", "--formal", "--m", "2"]])
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_cli_order_below_one_is_input_error(argv, order, monkeypatch):
+    """From the flag and from FF_ORDER alike; --order 0 used to fall back
+    to the default order, and -3 to a traceback."""
+    code, out, err = run(argv + ["--order", order])
+    assert (code, out) == (2, "")
+    assert err == "error[input]: --order must be at least 1, got %s\n" % order
+    monkeypatch.setenv("FF_ORDER", order)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == "error[input]: FF_ORDER must be at least 1, got %s\n" % order
+
+
+def test_cli_float_literal_overflow_is_input_error():
+    code, out, err = run(["classify", "--mode", "float", "--expr",
+                          "d(y^2+x^4)+-5.0*x^2*(1+1e400*x)*dy"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error[input]: decimal literal '1e400'")
 
 
 def test_cli_requires_expression():

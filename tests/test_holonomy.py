@@ -343,3 +343,23 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("p, m, N, composition, commutator", [
+    (2, 2, 26, 13, 26), (3, 5, 44, 12, 36), (4, 12, 48, 14, 28)])
+def test_compositions_build_only_the_powers_they_read(monkeypatch, p, m, N,
+                                                      composition,
+                                                      commutator):
+    """The generators read their images at exponents 1, 1 + m, 1 + 2m, ...
+    A dense ladder of powers took 24, 40 and 36 series products per
+    composition here, and 48, 120 and 72 per commutator."""
+    gm = group_model(p, m, model_field(m, N), N)
+    products = []
+    multiply = Series1.__mul__
+    monkeypatch.setattr(Series1, "__mul__",
+                        lambda a, b: products.append(1) or multiply(a, b))
+    compose(gm.h1, gm.h2)
+    assert len(products) == composition
+    products.clear()
+    group_commutator(gm.h1, gm.h2)
+    assert len(products) == commutator

@@ -1,17 +1,22 @@
 """Coefficient ring behavior: canonical rationals, tolerance-compared
-complex floats, and one-parameter polynomials."""
+complex floats (always finite, coerced with the bits of ``workprec``),
+and one-parameter polynomials."""
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import (fone, from_float, mpc_abs, mpf_le, mpf_mul,
                           round_nearest)
 
-from pdfol.errors import NotInvertibleError
+from pdfol import rings
+from pdfol.errors import MathError, NotInvertibleError
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing,
                          RationalExact, rational, rational_sqrt)
 
@@ -232,3 +237,71 @@ def test_param_poly_cancellation_is_canonical():
                   b - b):
         assert value == zero and value.coeffs == ()
         assert hash(value) == hash(zero)
+
+
+def coerce_by_workprec(ring, value):
+    """``ComplexApprox.coerce`` as it was: every value through
+    ``mpmath.mpc`` under ``workprec``, a fraction by one ``mpf``
+    division."""
+    with mpmath.workprec(ring.precision):
+        if isinstance(value, Fraction):
+            return mpmath.mpc(mpmath.mpf(int(value.numerator))
+                              / int(value.denominator))
+        return mpmath.mpc(value)
+
+
+def at_bits(bits, value):
+    with mpmath.workprec(bits):
+        return mpmath.mpc(value) / 7
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+COERCIBLE = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.fractions(max_denominator=2 ** 70).filter(
+        lambda q: q.denominator > 1),
+    FLOATS, st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.builds(at_bits, st.sampled_from((53, 64, 300)),
+              st.one_of(FLOATS.filter(bool), st.complex_numbers(
+                  max_magnitude=1e300, allow_nan=False,
+                  allow_infinity=False))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(COERCIBLE)
+@example(2 ** 64 + 1)
+@example(Fraction(2 ** 65 + 1, 3))
+@example(at_bits(300, 1j + 1))
+def test_complex_coerce_keeps_the_bits_of_workprec(value):
+    for ring in (ComplexApprox(precision=53), CC,
+                 ComplexApprox(precision=200)):
+        for _ in range(2):  # a table miss, then a hit
+            got = ring.coerce(value)
+            assert got._mpc_ == coerce_by_workprec(ring, value)._mpc_
+
+
+def test_complex_coerce_returns_elements_as_they_are():
+    fine = at_bits(64, 1 + 1j)
+    assert CC.coerce(fine) is fine
+    assert CC.coerce(CC.zero) is CC.zero
+    wide = at_bits(300, 1 + 1j)
+    narrow = CC.coerce(wide)
+    assert wide._mpc_[0][3] > 64 >= narrow._mpc_[0][3]
+    assert narrow._mpc_ == coerce_by_workprec(CC, wide)._mpc_
+
+
+def test_complex_coerce_table_stays_bounded():
+    ring = ComplexApprox()
+    values = [Fraction(k, 3) for k in range(3 * rings._TABLE_SIZE)]
+    for q in values + values:
+        assert ring.coerce(q)._mpc_ == coerce_by_workprec(ring, q)._mpc_
+    assert len(ring._rationals) == rings._TABLE_SIZE
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, complex(math.inf, 0), complex(0, math.nan),
+    mpmath.inf, mpmath.nan, mpmath.mpc(1, mpmath.inf),
+    mpmath.mpc(mpmath.nan, 0)])
+def test_complex_coerce_rejects_non_finite_values(value):
+    with pytest.raises(MathError, match="not finite"):
+        CC.coerce(value)

@@ -10,10 +10,22 @@ polynomials of different degrees whose products cancel, and truncated
 operands.  Substitutions are checked against the same loop in
 test_series_properties.  ``dot`` must give what folding ``ring.mul``
 and ``ring.add`` over the pairs in order gives, bit for bit, and None
-for no pairs."""
+for no pairs.
 
+The float ring runs both kernels on integer mantissas, so they are also
+checked against a fold of mpmath's ``mpc_mul`` and ``mpc_add`` at 53,
+64 and 200 bits, over values built to meet ties to even, exponent gaps
+of more than 100 bits (where ``mpf_add`` perturbs instead of adding
+exactly, and gives other bits for an exact product), zero and negative
+parts, and exact cancellation to 0."""
+
+import operator
+
+import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import (from_man_exp, mpc_add, mpc_mul, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_sub, round_nearest)
 
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact
 from pdfol.rings import rational
@@ -125,3 +137,156 @@ def test_dot_matches_pairwise_fold(spec_pairs):
                 assert got is None, ring.name
             else:
                 assert raw(ring, got) == raw(ring, want), ring.name
+
+
+# ---------------------------------------------------------------- float
+# The float kernels against a fold of mpmath's own mpc_mul and mpc_add.
+# An element is drawn as two (mantissa, exponent) parts rounded to the
+# ring's precision; wide exponents give gaps of more than 100 bits
+# between the parts of a product (mpf_add's perturbation branch).
+
+FLOAT_PRECISIONS = (53, 64, 200)
+PARTS = st.tuples(st.one_of(st.integers(-3, 3),
+                            st.integers(-2 ** 200, 2 ** 200)),
+                  st.one_of(st.integers(-4, 4), st.integers(-400, 400)))
+ELEMENTS = st.tuples(PARTS, PARTS)
+
+
+def float_element(spec, prec):
+    (rm, re), (im, ie) = spec
+    return mpmath.mp.make_mpc((from_man_exp(rm, re, prec, round_nearest),
+                               from_man_exp(im, ie, prec, round_nearest)))
+
+
+def perturbed_pair(prec, gap=None):
+    """Element specs (a, b) whose product's real part a_r*b_r - a_i*b_i
+    takes mpf_add's perturbation branch and there differs from the
+    exact difference rounded once: a_r*b_r has 2*prec - 3 bits, and its
+    bits below the kept ones are one unit above the midpoint, while
+    a_i*b_i, ``gap`` > 100 exponents below, is about 2^(2*prec - 2 - gap)
+    such units, 8 by default.  At gap 100, and at gap prec + 6 where the
+    magnitudes lie prec + 4 bits apart, the branch is just not taken."""
+    gap = 2 * prec - 5 if gap is None else gap
+    n = prec - 3
+    ar = (1 << prec) - 1
+    while True:
+        br = pow(ar, -1, 1 << n) * ((1 << n - 1) + 1) % (1 << n)
+        if (ar * br).bit_length() == prec + n:
+            break
+        ar -= 2
+    return (((ar, 0), ((1 << prec - 1) + 1, -gap)),
+            ((br, 0), ((1 << prec - 1) + 3, 0)))
+
+
+def swapped(pair):
+    """The pair with real and imaginary parts swapped in both elements:
+    the real part of the product is negated, and its larger term comes
+    second."""
+    return tuple((im, re) for re, im in pair)
+
+
+def ties(prec):
+    """Pairs whose rounding meets exact ties: a real product 3*(2^(prec-1)
+    - 1) of prec + 1 bits, alone and then less 2^-300 (a perturbation
+    that decides the tie) as the first and as the second term, and a sum
+    (2^prec - 1)*2 + 1."""
+    odd = (1 << prec - 1) - 1
+    return [(((3, 0), (0, 0)), ((odd, 0), (0, 0))),
+            (((3, 0), (1, -300)), ((odd, 0), (1, 0))),
+            (((1, -300), (3, 0)), ((1, 0), (odd, 0))),
+            ((((1 << prec) - 1, 1), (0, 0)), ((1, 0), (0, 0))),
+            (((1, 0), (0, 0)), ((1, 0), (0, 0)))]
+
+
+def fold(prec, pairs):
+    acc = None
+    for a, b in pairs:
+        p = mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)
+        acc = p if acc is None else mpc_add(acc, p, prec, round_nearest)
+    return acc
+
+
+def test_perturbed_pair_takes_the_perturbation_branch():
+    """The example below is worth its place: exact rounding gives other
+    bits than mpc_mul there."""
+    for prec in FLOAT_PRECISIONS:
+        a, b = (float_element(s, prec) for s in perturbed_pair(prec))
+        (ar, ai), (br, bi) = a._mpc_, b._mpc_
+        p, q = mpf_mul(ar, br), mpf_mul(ai, bi)
+        exact = mpf_pos(mpf_sub(p, q), prec, round_nearest)
+        assert mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)[0] != exact
+        a, b = (float_element(s, prec) for s in swapped(perturbed_pair(prec)))
+        assert (mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)[0]
+                != mpf_neg(exact))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ELEMENTS, ELEMENTS), max_size=6))
+@example([])
+@example([perturbed_pair(53), swapped(perturbed_pair(53))])
+@example([perturbed_pair(64), swapped(perturbed_pair(64))])
+@example([perturbed_pair(200), swapped(perturbed_pair(200))])
+@example([q for p in (perturbed_pair(53, 100), perturbed_pair(200, 206),
+                      perturbed_pair(200, 207)) for q in (p, swapped(p))])
+@example(ties(53))
+@example(ties(64))
+@example(ties(200))
+# an exact cancellation to 0, and real parts that cancel in a product
+@example([(((5, 3), (-7, 1)), ((9, 0), (1, -2))),
+          (((-5, 3), (7, 1)), ((9, 0), (1, -2)))])
+@example([(((3, 0), (3, 0)), ((5, 2), (5, 2)))])
+def test_float_dot_is_a_fold_of_mpc_mul_and_mpc_add(specs):
+    """Each pair alone too, so that no sum hides a product's last bit."""
+    for prec in FLOAT_PRECISIONS:
+        ring = ComplexApprox(precision=prec)
+        pairs = [(float_element(a, prec), float_element(b, prec))
+                 for a, b in specs]
+        for chunk in [pairs] + [[pair] for pair in pairs]:
+            got, want = ring.dot(chunk), fold(prec, chunk)
+            if want is None:
+                assert got is None
+            else:
+                assert got._mpc_ == want, prec
+
+
+@st.composite
+def combine_cases(draw):
+    """Terms (shift, left spec, index of a right dict) over at most three
+    right dicts, so that terms share them, and an order that cuts some
+    pairs."""
+    rights = draw(st.lists(st.dictionaries(st.integers(0, 4), ELEMENTS,
+                                           max_size=4), min_size=1,
+                           max_size=3))
+    terms = draw(st.lists(st.tuples(st.integers(0, 4), ELEMENTS,
+                                    st.integers(0, len(rights) - 1)),
+                          max_size=5))
+    return draw(st.integers(0, 8)), terms, rights
+
+
+@PROPERTY
+@given(combine_cases())
+@example((8, [(0, perturbed_pair(64)[0], 0), (1, ties(64)[1][0], 0)],
+          [{0: perturbed_pair(64)[1], 1: ties(64)[1][1]}]))
+@example((8, [(0, ((5, 3), (-7, 1)), 0), (0, ((-5, 3), (7, 1)), 0)],
+          [{2: ((9, 0), (1, -2))}]))
+def test_float_combine_is_a_fold_of_mpc_mul_and_mpc_add(case):
+    order, term_specs, right_specs = case
+    for prec in FLOAT_PRECISIONS:
+        ring = ComplexApprox(precision=prec)
+        rights = [{k: float_element(v, prec) for k, v in r.items()}
+                  for r in right_specs]
+        terms = [(shift, float_element(a, prec), rights[i])
+                 for shift, a, i in term_specs]
+        acc, cut = {}, False
+        for shift, a, right in terms:
+            for key, b in right.items():
+                if shift + key > order:
+                    cut = True
+                    continue
+                acc.setdefault(shift + key, []).append((a, b))
+        want = [(key, fold(prec, pairs)) for key, pairs in acc.items()]
+        want = [(key, v) for key, v in want
+                if not ring.is_zero(mpmath.mp.make_mpc(v))]
+        got, got_cut = ring.combine(terms, order, int, operator.add)
+        assert [(key, v._mpc_) for key, v in got.items()] == want, prec
+        assert got_cut == cut

@@ -1,7 +1,8 @@
 """Property tests of the one-pass unit inverse, of the Camacho-Sad index,
 which reads only low degrees of that inverse, of the agreement of the
 one- and two-variable series, and of substitutions (some of whose
-images are bare variables) against explicit pairwise products, over
+images are bare variables, and some of whose series read their images
+at exponents with gaps) against explicit pairwise products, over
 random series in all three rings."""
 
 import pytest
@@ -367,3 +368,63 @@ def test_bare_variable_images_shift_keys(case):
         same_substitution(outcome(lambda: s1.compose(inner)),
                           outcome(lambda: substitute_by_products(
                               s1, (inner,), one1)), ring.name)
+
+
+@st.composite
+def gapped_cases(draw):
+    """A one-variable series and an image of valuation >= 1, each with
+    its own order and truncated flag.  The series has terms at a few
+    exponents up to 12, or, one time in three, at every exponent of a
+    range: with no gaps."""
+    order = draw(st.integers(2, 12))
+    if draw(st.integers(0, 2)):
+        exponents = draw(st.sets(st.integers(0, 12), min_size=1, max_size=4))
+    else:
+        low, top = draw(st.integers(0, 1)), draw(st.integers(1, 12))
+        exponents = range(low, top + 1)
+    terms = {e: draw(COEFFICIENTS) for e in exponents}
+    image = draw(tails(st.integers(1, 4), COEFFICIENTS))
+    image.setdefault(1, monomial(rational(draw(NONZERO)), 0))
+    return ((order, None, terms, draw(st.booleans())),
+            (max(1, order + draw(st.integers(-2, 2))), None, image,
+             draw(st.booleans())))
+
+
+@PROPERTY
+@given(gapped_cases())
+# reads 2 and 5: z^5 = z^3 * z^2, not z^4 * z
+@example(((8, None, {2: ([1], 0), 5: ([rational(1, 3)], 0)}, False),
+          (8, None, {1: ([2], 0), 2: ([rational(-1, 7)], rational(1, 5))},
+           False)))
+# no gaps, and float sums whose bits depend on the order of each product
+@example(((8, None, {e: ([rational(1, e + 2)], 0) for e in range(1, 7)},
+           False),
+          (8, None, {1: ([rational(3, 7)], rational(1, 3)),
+                     2: ([rational(-1, 7)], rational(1, 5)),
+                     3: ([rational(5, 11)], 0)}, False)))
+# the model generators' shape: 1, 1 + m, 1 + 2m, ...
+@example(((12, None, {1: ([1], 0), 4: ([1, 1], 0), 7: ([2], 1),
+                      10: ([rational(1, 3)], 0)}, True),
+          (12, None, {1: ([3], 0), 4: ([rational(1, 11)], 0),
+                      7: ([1, 0, 1], 0)}, False)))
+def test_gapped_powers_match_the_dense_ladder(case):
+    """A composition builds only the powers its terms read, as
+    image^e = image^d * image^(e-d).  It must equal the dense ladder of
+    ``substitute_by_products`` in the exact and param rings, and in the
+    float ring too, bit for bit, when the exponents read are 1..E with
+    no gaps; with gaps, float values only agree within tolerance."""
+    series_data, image_data = case
+    for ring in RINGS:
+        s = build1(ring, *series_data)
+        inner = build1(ring, *image_data)
+        one = Series1.constant(ring, "z", inner.order, 1)
+        got = s.compose(inner)
+        want = substitute_by_products(s, (inner,), one)
+        order = min(s.order, inner.order)
+        reads = {e for e in s.coeffs if e and e * inner.valuation() <= order}
+        if ring is not CC or reads == set(range(1, max(reads, default=0) + 1)):
+            same_substitution(got, want, ring.name)
+        else:
+            order, truncated, items = want
+            assert (got.order, got.truncated) == (order, truncated)
+            assert CC.series_close(got, s._like(order, dict(items), truncated))
