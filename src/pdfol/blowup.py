@@ -19,7 +19,7 @@ generic composition machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 
@@ -64,35 +64,19 @@ class BlowupResult:
         return self.form if self.divisor_index == 0 else self.form.swapped()
 
 
-def _divisor_power(a_new, b_new, axis, chart) -> int:
-    """The largest power of the divisor variable dividing both
+def _divisor_power(a_new, b_new, chart) -> int:
+    """The largest power of the divisor variable {first = 0} dividing both
     coefficients; PrecisionError when the form vanishes to its order."""
-    k = min(a_new.min_exponent(axis), b_new.min_exponent(axis))
+    k = min(a_new.min_exponent(0), b_new.min_exponent(0))
     if k == INF:
         raise PrecisionError("%s: the pulled-back form vanishes to order %d"
                              % (chart, a_new.order))
     return k
 
 
-def _finish(nu, a_new, b_new, chart, divisor_index):
-    axis = divisor_index
-    k = _divisor_power(a_new, b_new, axis, chart)
-    delta = (k, 0) if axis == 0 else (0, k)
-    a_new = a_new.divide_monomial(delta)
-    b_new = b_new.divide_monomial(delta)
-    along = b_new if axis == 0 else a_new
-    if axis == 0:
-        restricted = along.restrict_first_zero()
-    else:
-        restricted = along.swap_variables().restrict_first_zero()
-    dicritical = not restricted.is_zero()
-    if _exact(OneForm2(a_new, b_new)) and k != nu + (1 if dicritical else 0):
-        raise MathError("inconsistent divisor multiplicity in blow-up")
-    return BlowupResult(OneForm2(a_new, b_new), chart, nu, k, dicritical,
-                        divisor_index)
-
-
-def blowup_chart1(omega: OneForm2, zname: str = "z") -> BlowupResult:
+def _chart1(omega: OneForm2, zname: str, chart: str) -> BlowupResult:
+    """The chart-1 blow-up of omega with the new variable ``zname``;
+    ``chart`` labels the result and its errors."""
     v1 = omega.variables[0]
     if zname == v1:
         raise ValueError("chart variable clashes with %r" % v1)
@@ -104,25 +88,27 @@ def blowup_chart1(omega: OneForm2, zname: str = "z") -> BlowupResult:
     a1 = _remap(omega.a, lambda ij: (ij[0] + ij[1], ij[1]), variables, order)
     zb1 = _remap(omega.b, lambda ij: (ij[0] + ij[1], ij[1] + 1), variables, order)
     xb1 = _remap(omega.b, lambda ij: (ij[0] + ij[1] + 1, ij[1]), variables, order)
-    return _finish(nu, a1 + zb1, xb1, "chart1", 0)
+    a_new = a1 + zb1
+    k = _divisor_power(a_new, xb1, chart)
+    form = OneForm2(a_new.divide_monomial((k, 0)), xb1.divide_monomial((k, 0)))
+    dicritical = not form.b.restrict_first_zero().is_zero()
+    if _exact(form) and k != nu + (1 if dicritical else 0):
+        raise MathError("inconsistent divisor multiplicity in blow-up")
+    return BlowupResult(form, chart, nu, k, dicritical, 0)
 
 
-def blowup_chart2(omega: OneForm2, wname: str = "w") -> BlowupResult:
-    v2 = omega.variables[1]
-    if wname == v2:
-        raise ValueError("chart variable clashes with %r" % v2)
-    if not singular_at_origin(omega):
-        raise MathError("blow-up requested at a nonsingular origin")
-    nu = omega.valuation()
-    order = 2 * omega.order if _exact(omega) else omega.order
-    variables = (wname, v2)
-    ya2 = _remap(omega.a, lambda ij: (ij[0], ij[0] + ij[1] + 1), variables, order)
-    wa2 = _remap(omega.a, lambda ij: (ij[0] + 1, ij[0] + ij[1]), variables, order)
-    b2 = _remap(omega.b, lambda ij: (ij[0], ij[0] + ij[1]), variables, order)
-    return _finish(nu, ya2, wa2 + b2, "chart2", 1)
+def blowup_chart1(omega: OneForm2) -> BlowupResult:
+    return _chart1(omega, "z", "chart1")
 
 
-def macro_chart1(omega: OneForm2, p: int, zname: str = "z"):
+def blowup_chart2(omega: OneForm2) -> BlowupResult:
+    """Chart 1 of the swapped form, with the new variable w in place of
+    the first one, read back in the variables (w, v2)."""
+    res = _chart1(omega.swapped(), "w", "chart2")
+    return replace(res, form=res.form.swapped(), divisor_index=1)
+
+
+def macro_chart1(omega: OneForm2, p: int):
     """The composite of p chart-1 blow-ups in one substitution v2 = v1^p z.
 
     Returns the divided-down form and the removed divisor power.  Used as
@@ -131,7 +117,7 @@ def macro_chart1(omega: OneForm2, p: int, zname: str = "z"):
     if p < 1:
         raise ValueError("need p >= 1")
     v1 = omega.variables[0]
-    variables = (v1, zname)
+    variables = (v1, "z")
     order = (p + 1) * omega.order if _exact(omega) else omega.order
     ring = omega.ring
     # dv2 = p x^(p-1) z dx + x^p dz
@@ -143,7 +129,7 @@ def macro_chart1(omega: OneForm2, p: int, zname: str = "z"):
                 variables, order)
     a_new = a_part + zb
     b_new = xb
-    k = _divisor_power(a_new, b_new, 0, "one-shot chart1 of %d blow-ups" % p)
+    k = _divisor_power(a_new, b_new, "one-shot chart1 of %d blow-ups" % p)
     a_new = a_new.divide_monomial((k, 0))
     b_new = b_new.divide_monomial((k, 0))
     return OneForm2(a_new, b_new), k
@@ -218,8 +204,8 @@ def roots_series1(q: Series1):
 def singular_points_on_divisor(result: BlowupResult):
     """Singular points of the reduced foliation on the exceptional line,
     in the given chart.  The chart origin of the opposite chart is not
-    visible here; a corner marker stands in for it and callers resolve
-    it by recomputing the other chart on demand."""
+    visible here; a corner marker stands in for it.  ``blowup_chain``
+    computes that corner chart of its last step (``last_chart2``)."""
     marker = [DivisorPoint(None, 0, corner=True)]
     omega = result.divisor_first()
     ring = omega.ring
@@ -275,7 +261,7 @@ def _at_step(i, chart, *args) -> BlowupResult:
         raise PrecisionError("blow-up %d, %s" % (i, exc)) from exc
 
 
-def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
+def blowup_chain(omega: OneForm2, p: int) -> ReductionPath:
     """Blow up p times, following the singular point at the chart-1 origin.
 
     Before each of the first p - 1 steps continues, the divisor restriction
@@ -293,7 +279,7 @@ def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
     current = omega
     previous = None
     for i in range(1, p + 1):
-        res = _at_step(i, blowup_chart1, current, zname)
+        res = _at_step(i, blowup_chart1, current)
         if res.dicritical:
             raise MathError("dicritical component at blow-up %d; "
                             "the chain does not continue" % i)
@@ -307,7 +293,7 @@ def blowup_chain(omega: OneForm2, p: int, zname: str = "z") -> ReductionPath:
         steps.append(res)
         current = res.form
     if _exact(omega):
-        macro, k_macro = macro_chart1(omega, p, zname)
+        macro, k_macro = macro_chart1(omega, p)
         total = sum(s.k_divided for s in steps)
         if k_macro != total or macro.a != current.a or macro.b != current.b:
             raise MathError("blow-up chain disagrees with the one-shot "

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import mpmath
 
-from .errors import InputError, MathError
+from .errors import InputError, MathError, PrecisionError
 from .rings import (ParamPoly, is_rational, rational, rational_sqrt,
                     small_rational)
 from .series import Series1
@@ -83,6 +83,10 @@ def parse_prenormal(omega: OneForm2) -> PrenormalData:
     a, b = omega.a, omega.b
 
     exps = sorted(a.coeffs)
+    if not exps and a.truncated:
+        raise PrecisionError("the dx-coefficient vanishes to its truncation "
+                             "order %d; parse at a higher order to reach "
+                             "its term n*x^(n-1)" % a.order)
     if len(exps) != 1 or exps[0][1] != 0 or exps[0][0] < 2:
         raise MathError("shape mismatch: dx-coefficient must be a single "
                          "monomial n*x^(n-1) with n >= 3")
@@ -267,8 +271,9 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
 
 @dataclass(frozen=True)
 class GPDReport:
-    """Full outcome of the decision pipeline."""
+    """Full outcome of the decision pipeline; ``p`` is not in the JSON."""
     case: str
+    p: int = None
     subcase: str = None
     z1: object = None
     z2: object = None
@@ -297,18 +302,18 @@ def analyze(omega: OneForm2, method: str = "homological",
     data = parse_prenormal(omega)
     case = takens_case(data)
     if case != CASE_SADDLE:
-        return GPDReport(case=case)
+        return GPDReport(case=case, p=data.p)
     ring = omega.ring
     subcase = saddle_subcase(data.alpha, tol=ring.tol)
     if subcase != SUBCASE_RESONANT:
-        return GPDReport(case=case, subcase=subcase)
+        return GPDReport(case=case, p=data.p, subcase=subcase)
     alpha_q = ring.near_rational(data.alpha)
     if alpha_q is None:
         raise MathError("alpha is irrational; the resonance data cannot be "
                         "certified in exact arithmetic")
     detected = gpd_detect(data.p, alpha_q)
     if detected is None:
-        return GPDReport(case=case, subcase=subcase)
+        return GPDReport(case=case, p=data.p, subcase=subcase)
     m, z1, z2 = detected
     assert z1 * z2 == 1 and z1 + z2 == -alpha_q / 2
     check = (alpha_q * alpha_q * data.p * (m + data.p)
@@ -321,6 +326,6 @@ def analyze(omega: OneForm2, method: str = "homological",
     if test.m != m:
         raise MathError("blow-up chain found resonance %d, expected %d"
                         % (test.m, m))
-    return GPDReport(case=case, subcase=subcase, z1=z1, z2=z2, m=m,
+    return GPDReport(case=case, p=data.p, subcase=subcase, z1=z1, z2=z2, m=m,
                      gpd_alpha_check=check, epsilon=test.epsilon,
                      verdict=test.verdict, normalization=test.normalization)

@@ -17,14 +17,12 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .blowup import (blowup_chain, blowup_chart1, blowup_chart2, recenter,
+from .blowup import (blowup_chain, blowup_chart1, blowup_chart2,
                      singular_points_on_divisor)
-from .classify import (analyze, default_order, gpd_condition, gpd_detect,
-                       parse_prenormal, takens_case, CASE_SADDLE)
-from .errors import InputError, MathError, PdfolError
+from .classify import analyze, gpd_condition, gpd_detect
+from .errors import InputError, MathError, PdfolError, PrecisionError
 from .forms import cs_index, dual, report_at
 from .holonomy import dichotomy, numeric_holonomy, pd_holonomy_model, sz_lambda
-from .normal_form import normalize, to_fibered_field
 from .parser import parse_expr
 from .report import canonical_bytes, document, encode, render
 from .rings import format_rational, rational
@@ -97,27 +95,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _env_int(name):
+    """The integer in the environment variable ``name``, or None;
+    InputError when it is not an integer or is below 1."""
     raw = os.environ.get(name)
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise InputError("%s=%r is not an integer" % (name, raw))
+    if value < 1:
+        raise InputError("%s must be at least 1, got %d" % (name, value))
+    return value
 
 
 def _order(args):
     """The truncation order of ``--order``, else of FF_ORDER, else None;
     InputError when the one given is below 1."""
-    if args.order is not None:
-        if args.order < 1:
-            raise InputError("--order must be at least 1, got %d"
-                             % args.order)
-        return args.order
-    order = _env_int("FF_ORDER")
-    if order is not None and order < 1:
-        raise InputError("FF_ORDER must be at least 1, got %d" % order)
-    return order
+    if args.order is None:
+        return _env_int("FF_ORDER")
+    if args.order < 1:
+        raise InputError("--order must be at least 1, got %d" % args.order)
+    return args.order
 
 
 def _inputs(args):
@@ -243,31 +242,20 @@ def _cmd_gpd(args, out):
     return 0
 
 
-def _resonance(form):
-    """(data, m, z1) of a saddle-case resonant form, or MathError."""
-    data = parse_prenormal(form)
-    if takens_case(data) != CASE_SADDLE:
-        raise MathError("the form is not in the saddle case (2p != n)")
-    alpha_q = form.ring.near_rational(data.alpha)
-    if alpha_q is None:
-        raise MathError("alpha is irrational; no exact resonance data")
-    found = gpd_detect(data.p, alpha_q)
-    if found is None:
-        raise MathError("no Poincare-Dulac resonance at alpha = %s"
-                        % format_rational(alpha_q))
-    return data, found.m, found.z1
-
-
 def _cmd_normal_form(args, out):
     for label, text in _inputs(args):
         expr = _parse(args, text)
-        data, m, z1 = _resonance(expr.form)
         N = _order(args)
-        if N is None:
-            N = default_order(data.p, m)
-        path = blowup_chain(expr.form, data.p)
-        local = recenter(path.final, expr.form.ring.from_rational(z1))
-        result = normalize(to_fibered_field(local, m), N)
+        rep = analyze(expr.form, N=N)
+        result = rep.normalization
+        if result is None:
+            raise MathError("no Poincare-Dulac resonance: %s"
+                            % (rep.subcase or rep.case))
+        if N is not None and N < result.m:
+            # analyze decides at degree m, past an order this low
+            raise PrecisionError("normal form (m=%d, N=%d): order cannot "
+                                 "reach the obstruction at degree m"
+                                 % (result.m, N))
         if label is not None:
             out.write("== %s ==\n" % label)
         out.write("m: %d\n" % result.m)
@@ -336,8 +324,7 @@ def _report_document(args, text):
         "holonomy": None,
     }
     if classification.m is not None:
-        data = parse_prenormal(expr.form)
-        p, m = data.p, classification.m
+        p, m = classification.p, classification.m
         path = blowup_chain(expr.form, p)
         canonical["reduction"] = {
             "labels": list(path.labels),

@@ -302,33 +302,28 @@ class SingularityReport:
     eigenvalues: tuple
     eigen_exact: bool
     type: SingularityType
-    cs: object = None           # Camacho-Sad index along the divisor
-    corner: bool = False
+    cs: object                  # Camacho-Sad index along the divisor
 
     def json(self, ring):
-        out = {
+        return {
             "chart": self.chart,
-            "corner": self.corner,
+            "corner": False,    # the corner is never a reported point
             "location": encode(self.location, ring),
             "linear_part": encode(self.linear, ring),
             "eigenvalues": encode(self.eigenvalues, ring),
             "eigenvalues_exact": self.eigen_exact,
             "type": self.type.json(),
+            "cs_index": encode(self.cs, ring),
         }
-        if self.cs is not None:
-            out["cs_index"] = encode(self.cs, ring)
-        return out
 
 
-def report_at(omega: OneForm2, z0, chart: str, corner: bool = False,
-              with_cs: bool = True) -> SingularityReport:
+def report_at(omega: OneForm2, z0, chart: str) -> SingularityReport:
     """Classify the singular point of omega at (0, z0) on the divisor."""
     ring = omega.ring
     X = dual(omega)
     L = linear_part(X, (0, z0))
     eigs, exact = eigenvalues(L, ring)
     kind = classify_singularity(L, ring)
-    cs = cs_index(X, z0) if with_cs else None
     return SingularityReport(chart=chart, location=ring.coerce(z0), linear=L,
                              eigenvalues=eigs, eigen_exact=exact, type=kind,
-                             cs=cs, corner=corner)
+                             cs=cs_index(X, z0))

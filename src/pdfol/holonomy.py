@@ -252,8 +252,7 @@ def _eval2(terms, xv, zv):
     return sum(c * xv ** i * zv ** j for i, j, c in terms)
 
 
-def numeric_holonomy(omega: OneForm2, center, radius, samples,
-                     rtol: float = 1e-10):
+def numeric_holonomy(omega: OneForm2, center, radius, samples):
     """Transport sample transversal points around the divisor loop.
 
     The loop is the circle of the given radius around ``center`` in the
@@ -313,7 +312,7 @@ def numeric_holonomy(omega: OneForm2, center, radius, samples,
 
     y0 = [part for x0 in starts for part in (x0.real, x0.imag)]
     atol = [1e-14 * max(1.0, abs(x0)) for x0 in starts for _ in (0, 1)]
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol,
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-10,
                     atol=atol, max_step=0.05)
     if not sol.success:
         raise MathError("holonomy transport failed: %s" % sol.message)
@@ -333,9 +332,10 @@ class HolonomyGroupModel:
     h2: FormalDiffeo1
 
 
-def group_model(p: int, m: int, Y: VectorField1, N: int,
-                mu=None, lam=None) -> HolonomyGroupModel:
-    """Build both generators from the vanishing-order-(m+1) field Y."""
+def group_model(p: int, m: int, Y: VectorField1,
+                N: int) -> HolonomyGroupModel:
+    """Build both generators from the vanishing-order-(m+1) field Y, with
+    mu = e^(2 pi i/m) and lambda = e^(2 pi i/p)."""
     if p < 2 or m < 2:
         raise InputError("group model needs p >= 2 and m >= 2")
     v = Y.f.valuation()
@@ -344,17 +344,9 @@ def group_model(p: int, m: int, Y: VectorField1, N: int,
                         "(got valuation %s)" % v)
     ring = Y.ring
     with mpmath.workprec(ring.precision):
-        if mu is None:
-            mu = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) / m)
-        if lam is None:
-            lam = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) / p)
-    mu = ring.coerce(mu)
-    lam = ring.coerce(lam)
-    with mpmath.workprec(ring.precision):
-        if not ring.negligible(ring.to_complex(mu) ** m - 1):
-            raise MathError("mu is not an m-th root of unity")
-        if not ring.negligible(ring.to_complex(lam) ** p - 1):
-            raise MathError("lambda is not a p-th root of unity")
+        turn = mpmath.mpc(0, 2 * mpmath.pi)
+        mu, lam = mpmath.exp(turn / m), mpmath.exp(turn / p)
+    mu, lam = ring.coerce(mu), ring.coerce(lam)
     plus, minus = _lie_flows(Y, N, True)
     ratio = ring.div(lam, mu)
     h1 = FormalDiffeo1(mu, plus.tail.scale(mu))

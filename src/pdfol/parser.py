@@ -69,7 +69,7 @@ def _ring_for_mode(mode: str, precision=None):
     if mode == "exact":
         return RationalExact()
     if mode == "float":
-        return ComplexApprox(precision or 64)
+        return ComplexApprox(64 if precision is None else precision)
     if mode.startswith("param:"):
         name = mode[len("param:"):]
         if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):

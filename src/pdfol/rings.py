@@ -107,9 +107,10 @@ def rational_sqrt(q):
     return rational(rn, rd)
 
 
-def small_rational(x, tol, max_den=1000):
-    """Best small-denominator rational within 10*tol of the real x, or None."""
-    f = Fraction(float(x)).limit_denominator(max_den)
+def small_rational(x, tol):
+    """Best rational of denominator at most 1000 within 10*tol of the
+    real x, or None."""
+    f = Fraction(float(x)).limit_denominator(1000)
     if abs(float(f) - float(x)) <= 10 * tol * max(1.0, abs(float(x))):
         return rational(f.numerator, f.denominator)
     return None
@@ -576,7 +577,8 @@ class ComplexApprox(CoefficientRing):
 
     def __init__(self, precision: int = 64, tol: float = 1e-9):
         if precision < 53:
-            raise MathError("ComplexApprox needs at least 53 mantissa bits")
+            raise MathError("ComplexApprox needs at least 53 mantissa bits, "
+                            "got %d" % precision)
         self.precision = int(precision)
         self.tol = float(tol)
         self._tol = from_float(self.tol)

@@ -351,9 +351,9 @@ class _Series:
             raise ValueError("mixed coefficient rings in " + what)
         ring = self.ring
         valuations = [s.valuation() for s in images]
-        if self.truncated and any(
-                v == 0 and any(self._exponents(key)[n] for key in self.coeffs)
-                for n, v in enumerate(valuations)):
+        # an image with a constant term sends every discarded term down
+        # to the low degrees, whether or not a stored term uses it
+        if self.truncated and 0 in valuations:
             raise PrecisionError(unsafe)
         low = min(s.order for s in images)
         order = min(self.order, low)

@@ -86,6 +86,12 @@ def test_parse_prenormal_rejects_missing_perturbation():
 # --------------------------------------------------------------- case split
 
 
+def test_analyze_keeps_p_out_of_the_json():
+    rep = analyze(parse_expr("d(y^2+x^4) + -5*x^2*(1+x)*dy").form)
+    assert rep.p == 2 and rep.m == 6
+    assert "p" not in rep.json(QQ)
+
+
 def test_takens_case_split():
     assert takens_case(parse_prenormal(takens_form(2, 3, 1))) == CASE_CUSP
     assert takens_case(parse_prenormal(takens_form(2, 4, -5))) == CASE_SADDLE

@@ -10,7 +10,7 @@ import pytest
 from pdfol.cli import main
 from pdfol.errors import InputError
 from pdfol.parser import parse_expr, print_form
-from pdfol.report import canonical_bytes
+from pdfol.report import canonical_bytes, encode
 from pdfol.rings import rational
 
 SADDLE_EXPR = "d(y^2+x^4) + -5*x^2*(1+x)*dy"
@@ -201,6 +201,60 @@ def test_cli_normal_form():
     assert "residual_valuation: inf" in out
 
 
+@pytest.mark.parametrize("mode, expr", [
+    ("exact", SADDLE_EXPR), ("float", SADDLE_EXPR),
+    ("param:b", "d(y^2+x^4) + -5*x^2*(1+b*x)*dy")])
+@pytest.mark.parametrize("order", [[], ["--order", "24"]])
+def test_cli_normal_form_prints_the_report_section(mode, expr, order):
+    code, out, err = run(["normal-form", "--mode", mode, "--expr", expr]
+                         + order)
+    assert code == 0, err
+    shown = dict(line.split(": ", 1) for line in out.splitlines())
+    code, out, err = run(["report", "--json", "--mode", mode, "--expr", expr]
+                         + order)
+    assert code == 0, err
+    section = json.loads(out)["canonical"]["normal_form"]
+    assert int(shown["m"]) == section["m"]
+    assert int(shown["order"]) == section["order"] == (int(order[1]) if order
+                                                       else 18)
+    assert shown["residual_valuation"] == str(section["residual_valuation"])
+    if mode == "float":
+        epsilon = encode(complex(shown["epsilon"].replace(" ", "")))
+    else:
+        form = parse_expr(shown["epsilon"] + "*dx", mode).form
+        epsilon = encode(form.a.coefficient(0, 0), form.ring)
+    assert epsilon == section["epsilon"]
+
+
+@pytest.mark.parametrize("expr", [
+    "d(y^2+x^3) + 4*x^2*dy",              # cusp
+    "d(y^2+x^4) + 3*x^2*(1+x)*dy"])       # saddle, simple pair
+def test_cli_normal_form_without_resonance_exits_3(expr):
+    code, out, err = run(["normal-form", "--expr", expr])
+    assert (code, out) == (3, "")
+    assert err.startswith("error[math]: no Poincare-Dulac resonance")
+
+
+def test_cli_normal_form_below_the_obstruction_degree_exits_4():
+    code, out, err = run(["normal-form", "--expr", SADDLE_EXPR,
+                          "--order", "5"])
+    assert (code, out) == (4, "")
+    assert err == ("error[precision]: normal form (m=6, N=5): order cannot "
+                   "reach the obstruction at degree m\n")
+
+
+def test_cli_dx_term_above_the_parse_order_exits_4():
+    # parsed at the default order 24, the only dx-term 32*x^31 is dropped
+    expr = "d(y^2+x^32) + -41/10*x^16*dy"
+    code, out, err = run(["classify", "--expr", expr])
+    assert (code, out) == (4, "")
+    assert err.startswith("error[precision]: the dx-coefficient vanishes "
+                          "to its truncation order 23")
+    code, out, err = run(["classify", "--expr", expr, "--order", "50"])
+    assert code == 0, err
+    assert "case: saddle" in out
+
+
 def test_cli_blowup_chain_and_chart():
     code, out, _ = run(["blowup", "--expr", SADDLE_EXPR, "--times", "2"])
     assert code == 0
@@ -321,6 +375,25 @@ def test_env_defaults(monkeypatch):
     monkeypatch.setenv("FF_PRECISION", "52")
     code, _, err = run(["classify", "--expr", cusp, "--mode", "float"])
     assert code == 3  # below the mantissa floor
+
+
+@pytest.mark.parametrize("bits", ["0", "-64"])
+def test_ff_precision_below_one_is_input_error(bits, monkeypatch):
+    monkeypatch.setenv("FF_PRECISION", bits)
+    code, out, err = run(["classify", "--mode", "float",
+                          "--expr", SADDLE_EXPR])
+    assert (code, out) == (2, "")
+    assert err == ("error[input]: FF_PRECISION must be at least 1, got %s\n"
+                   % bits)
+
+
+def test_ff_precision_below_the_mantissa_floor_names_it(monkeypatch):
+    monkeypatch.setenv("FF_PRECISION", "10")
+    code, out, err = run(["classify", "--mode", "float",
+                          "--expr", SADDLE_EXPR])
+    assert (code, out) == (3, "")
+    assert err == ("error[math]: ComplexApprox needs at least 53 mantissa "
+                   "bits, got 10\n")
 
 
 def test_input_file_and_directory(tmp_path):

@@ -188,6 +188,19 @@ def test_substitute_constant_term_into_truncated_rejected():
     assert geom.substitute(x, xz).order == 4
 
 
+def test_constant_image_into_truncated_series_rejected_without_its_variable():
+    # only the constant is stored; the true value at z = 1 is 1 + 5 = 6,
+    # from a term the truncation dropped
+    s = Series2(QQ, XZ, 2, {(0, 0): 1, (0, 3): 5})
+    assert s.truncated and s.coeffs == {(0, 0): 1}
+    x = Series2.monomial(QQ, XZ, 2, (1, 0))
+    shift = Series2(QQ, XZ, 2, {(0, 1): 1, (0, 0): 1})
+    with pytest.raises(PrecisionError):
+        s.substitute(x, shift)
+    with pytest.raises(PrecisionError):
+        Series1(QQ, "z", 1, {0: 1, 3: 5}).translate(1)
+
+
 def test_substitute_order_is_min():
     s = s2({(0, 1): 1}, order=9)
     ex = Series2.monomial(QQ, XZ, 5, (1, 0))
