@@ -8,12 +8,14 @@ form x d/dx + (m w + epsilon*x^m) d/dw exactly when
 
 the conjugacy equation, which is linear in phi.  Its operator multiplies
 x^i z^j by the divisor i + m(j-1), which vanishes only at (i,j) = (m,0).
-Because nu(a) >= 2, the degree-k part of the right side involves phi
+Because nu(a) >= 2, the degree-k slice of the right side involves phi
 only below degree k, so one pass over k = 2..N solves for phi and
-epsilon with products alone (Ilyashenko-Yakovenko, Lectures on Analytic
-Differential Equations, ch. 1).  The surviving coefficient epsilon
-distinguishes a genuine Poincare-Dulac singularity (epsilon != 0) from
-one that is dicritical to the computed order.
+epsilon with products alone, forming each slice once from the slices of
+phi below it (Ilyashenko-Yakovenko, Lectures on Analytic Differential
+Equations, ch. 1; a slice at a time is van der Hoeven's "relaxed"
+multiplication, J. Symbolic Comput. 34(6), 2002).  The surviving
+coefficient epsilon distinguishes a genuine Poincare-Dulac singularity
+(epsilon != 0) from one that is dicritical to the computed order.
 
 ``apply_fibered`` transports a tail through a fibered map by inverting
 the fiber; it is not used by ``normalize`` and serves as an independent
@@ -55,17 +57,15 @@ class FiberedField:
         return self.a.variables
 
 
-def to_fibered_field(omega: OneForm2, m: int, order: int | None = None) -> FiberedField:
+def to_fibered_field(omega: OneForm2, m: int, order: int) -> FiberedField:
     """Put a 1-form with a Poincare-Dulac candidate at the origin into the
-    fibered model.
+    fibered model, with its tail to ``order``.
 
     The dz-coefficient must be x*(unit); dividing the dual field by the
     unit makes the first component exactly x, forcing the z-linear slope
     of the second component to be exactly m.  A shear z -> z + c*x then
     removes the x-linear term (its divisor is m - 1 != 0)."""
     ring = omega.ring
-    if order is None:
-        order = omega.order - 1
     # dividing the dz-coefficient by its x factor costs one order; work
     # one higher internally so the tail is complete to the order requested
     a_t = omega.a.truncate(order + 1)
@@ -219,9 +219,12 @@ def _known_to(series: Series2, what: str, m: int, N: int) -> Series2:
 def normalize(X: FiberedField, N: int) -> NormalizationResult:
     """Solve the conjugacy equation to order N in one pass over degrees.
 
-    With s = a + a*phi_z, the degree-k slice s_k depends on phi only
-    below degree k, so ``homological_step`` on s_k yields phi_k, and at
-    k = m the coefficient of x^m it cannot remove is epsilon.  The kernel
+    Each degree-k slice is computed once, from the slices below it: the
+    slice s_k of s = a + a*phi_z is a_k plus one ``combine`` of each term
+    of a, of degree d, with the slice of phi_z of degree k - d, which
+    comes from phi_(k-d+1), already solved since d >= 2.
+    ``homological_step`` on s_k yields phi_k, and at k = m the
+    coefficient of x^m it cannot remove is epsilon.  The kernel
     coefficient of phi at x^m is left 0.  Every result is checked by
     ``verify_conjugation`` before it is returned."""
     m = X.m
@@ -230,18 +233,27 @@ def normalize(X: FiberedField, N: int) -> NormalizationResult:
                              "degree m" % _stage(m, N))
     a = _known_to(X.a, "tail", m, N)
     ring = X.ring
+    variables = X.variables
+    by_degree = {}
+    for key, c in a.coeffs.items():
+        by_degree.setdefault(key[0] + key[1], []).append((key, c))
+    one = {(0, 0): ring.one}    # a_k enters the sum first, as a_k * 1
     phi = {}
-    rest = a                    # a + a*phi_z, complete through degree k
+    phi_z = {}                  # degree -> that slice of phi_z
     epsilon = ring.zero
     for k in range(2, N + 1):
-        phi_k, kept = homological_step(rest.homogeneous_part(k), m, k)
+        terms = [(key, c, one) for key, c in by_degree.get(k, ())]
+        for e, right in phi_z.items():
+            terms += [(key, c, right) for key, c in by_degree.get(k - e, ())]
+        s_k, _ = ring.combine(terms, k, Series2._degree, Series2._add_keys)
+        phi_k, kept = homological_step(
+            Series2._raw(ring, variables, k, s_k, False), m, k)
         if k == m:
             epsilon = kept.coefficient(m, 0)
-        if phi_k.is_zero():
-            continue
-        phi.update(phi_k.coeffs)
-        rest = rest + a * _dz(phi_k, N)
-    phi = Series2._raw(ring, X.variables, N, phi, False)
+        if not phi_k.is_zero():
+            phi.update(phi_k.coeffs)
+            phi_z[k - 1] = _dz(phi_k, k - 1).coeffs
+    phi = Series2._raw(ring, variables, N, phi, False)
     residual = verify_conjugation(X, phi, m, epsilon, N)
     if not residual > N:
         raise MathError("%s: conjugation residual valuation %s <= N"

@@ -721,12 +721,16 @@ class ComplexApprox(CoefficientRing):
         """Roundoff in a residual coefficient is relative to the same
         expression over absolute values, ``bound()``, coefficient by
         coefficient: a coefficient within tol of that bound counts as
-        zero."""
+        zero.  A coefficient within tol counts as zero whatever the
+        bound, so ``bound`` is called only when some coefficient is not."""
+        tol = self.tol
+        big = [(key, c) for key, c in residual.coeffs.items() if abs(c) > tol]
+        if not big:
+            return math.inf
         bound = bound().coeffs
         zero = self.zero
-        return min((residual._degree(key)
-                    for key, c in residual.coeffs.items()
-                    if abs(c) > self.tol * max(1.0, abs(bound.get(key, zero)))),
+        return min((residual._degree(key) for key, c in big
+                    if abs(c) > tol * max(1.0, abs(bound.get(key, zero)))),
                    default=math.inf)
 
     def json_value(self, a):

@@ -11,7 +11,7 @@ that make sense for its own arity:
   only it has ``reversion``, ``translate`` and ``as_polynomial_coeffs``.
 - ``Series2`` (names its variables ``variables``) keys x^i*y^j by the
   pair (i, j); only it has ``swap_variables``, ``restrict_first_zero``,
-  ``homogeneous_part``, ``degree_in`` and ``min_exponent``.
+  ``degree_in`` and ``min_exponent``.
 
 Mixing a ``Series1`` with a ``Series2`` raises TypeError.
 
@@ -275,9 +275,13 @@ class _Series:
     def inverse_unit(self):
         """Multiplicative inverse of a unit (invertible constant term).
 
-        One pass over degrees: v_0 = 1/u_0 and, for each monomial n of
-        degree d, v_n = -v_0 * sum of u_k * v_(n-k) over the nonconstant
-        terms k of u, taken in ascending key order."""
+        One pass over degrees, each degree-d slice computed once from the
+        slices below it: v_0 = 1/u_0, and the slice of degree d is -v_0
+        times one ``combine`` of the nonconstant terms u_k of u, in
+        ascending key order, each with the slice of degree d - deg(k).
+        So each v_n is -v_0 times the sum of u_k * v_(n-k) in that order
+        (a float sum within tol of zero is dropped before the scaling),
+        and its key is stored in ``_monomials(d)`` order."""
         ring = self.ring
         one = self._CONSTANT
         inv0 = ring.invert(self.coeffs.get(one, ring.zero))  # raises on non-units
@@ -285,32 +289,23 @@ class _Series:
         if not tail:
             return self._like(self.order, {one: inv0}, self.truncated)
         neg0 = ring.neg(inv0)
-        exponents, sub_keys = self._exponents, self._sub_keys
-        # keys ascend, so first exponents never decrease; comparing first
-        # and last exponents decides divisibility in one or two variables
-        tail = [(key, exponents(key)[0], exponents(key)[-1], c)
-                for key, c in tail]
+        degree, add_keys = self._degree, self._add_keys
+        tail = [(degree(key), key, c) for key, c in tail]
         inv = {one: inv0}
-
-        def pairs(key):
-            """(u_k, v_(key-k)) over the tail terms k that divide key."""
-            first, last = exponents(key)[0], exponents(key)[-1]
-            for tkey, tfirst, tlast, c in tail:
-                if tfirst > first:
-                    break
-                if tlast > last:
-                    continue
-                v = inv.get(sub_keys(key, tkey))
-                if v is not None:
-                    yield c, v
-
+        slices = [{one: inv0}]
         for d in range(1, self.order + 1):
+            acc, _ = ring.combine([(key, c, slices[d - e])
+                                   for e, key, c in tail
+                                   if e <= d and slices[d - e]],
+                                  d, degree, add_keys)
+            part = {}
             for key in self._monomials(d):
-                acc = ring.dot(pairs(key))
-                if acc is not None:
-                    acc = ring.mul(neg0, acc)
-                    if not ring.is_zero(acc):
-                        inv[key] = acc
+                if key in acc:
+                    v = ring.mul(neg0, acc[key])
+                    if not ring.is_zero(v):
+                        part[key] = v
+            slices.append(part)
+            inv.update(part)
         # a nonconstant unit has an infinite inverse: the result is truncated
         return self._like(self.order, inv, True)
 
@@ -472,10 +467,6 @@ class Series2(_Series):
         if not self.coeffs:
             return INF
         return min(key[index] for key in self.coeffs)
-
-    def homogeneous_part(self, k: int) -> "Series2":
-        part = {key: c for key, c in self.coeffs.items() if key[0] + key[1] == k}
-        return self._like(self.order, part, self.truncated)
 
     def restrict_first_zero(self) -> "Series1":
         """The one-variable series s(0, second variable)."""

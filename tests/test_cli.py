@@ -1,8 +1,10 @@
 """Expression grammar, canonical printing, command dispatch, exit codes,
 and the JSON report document."""
 
+import hashlib
 import io
 import json
+import pathlib
 
 import jsonschema
 import pytest
@@ -487,6 +489,25 @@ def test_report_canonical_section_is_byte_stable():
     _, second, _ = run(["report", "--json", "--expr", SADDLE_EXPR])
     assert canonical_bytes(json.loads(first)) == \
         canonical_bytes(json.loads(second))
+
+
+def test_report_canonical_bytes_match_the_recorded_digests():
+    """The sha256 of the canonical section of ``report --json`` on each
+    recorded benchmark input of the ``homological`` workload, at its own
+    mode and order, as an earlier version of the program wrote it: a
+    change of any byte between versions fails here (an input that exits
+    non-zero has no section, and only its exit code is kept)."""
+    path = pathlib.Path(__file__).parent / "data" / "canonical_sha256.json"
+    recorded = json.loads(path.read_text())
+    got = {}
+    for key in recorded:
+        mode, order, text = key.split("|", 2)
+        code, out, _ = run(["report", "--json", "--mode", mode, "--order",
+                            order, "--expr", text])
+        digest = (hashlib.sha256(canonical_bytes(json.loads(out))).hexdigest()
+                  if code == 0 else None)
+        got[key] = {"exit": code, "sha256": digest}
+    assert [key for key in recorded if got[key] != recorded[key]] == []
 
 
 def test_report_param_mode():

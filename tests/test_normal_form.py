@@ -145,7 +145,7 @@ def test_bound_bruteforce_values():
 
 def test_to_fibered_field_models():
     for m, coeff in ((2, 1), (3, 1), (6, 0)):
-        F = to_fibered_field(fibered_model_form(m, coeff), m)
+        F = to_fibered_field(fibered_model_form(m, coeff), m, 23)
         assert F.m == m
         if coeff:
             assert F.a == Series2(QQ, XZ, F.a.order, {(m, 0): rational(coeff)})
@@ -158,21 +158,21 @@ def test_to_fibered_field_shear_kills_x_term():
     omega_a = series(12, {(0, 1): -3, (1, 0): -5, (2, 0): -1})
     omega_b = series(12, {(1, 0): 1})
     from pdfol.forms import OneForm2
-    F = to_fibered_field(OneForm2(omega_a, omega_b), 3)
+    F = to_fibered_field(OneForm2(omega_a, omega_b), 3, 11)
     assert F.a.valuation() >= 2
     assert QQ.is_zero(F.a.coefficient(1, 0))
 
 
 def test_to_fibered_field_slope_mismatch():
     with pytest.raises(MathError):
-        to_fibered_field(fibered_model_form(3, 1), 4)
+        to_fibered_field(fibered_model_form(3, 1), 4, 23)
 
 
 def test_to_fibered_field_rejects_bad_dz_coefficient():
     from pdfol.forms import OneForm2
     omega = OneForm2(series(8, {(0, 1): -2}), series(8, {(0, 1): 1}))
     with pytest.raises(MathError):
-        to_fibered_field(omega, 2)
+        to_fibered_field(omega, 2, 7)
 
 
 def saddle_fibered(order, b_value=None):

@@ -9,6 +9,7 @@ from pdfol.normal_form import (FiberedField, apply_fibered, normalize,
                                verify_conjugation)
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series2
+from util import normalize_by_products, raw, ulps
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -113,3 +114,22 @@ def test_wrong_epsilon_fails_verification(case):
         off = ring.add(res.epsilon, ring.one)
         assert verify_conjugation(X, res.transform, m, off, N) <= N, \
             ring.name
+
+
+@PROPERTY
+@given(cases())
+def test_online_solve_matches_the_full_product_oracle(case):
+    """The exact rings give the oracle's phi and epsilon exactly; the
+    float ring sums each slice in another order, so epsilon moves by a
+    few units in the last place at most."""
+    m, N, tail, _ = case
+    for ring in RINGS:
+        X = FiberedField(m, in_ring(ring, tail, N))
+        res = normalize(X, N)
+        phi, epsilon = normalize_by_products(X, N)
+        if ring is CC:
+            assert ulps(res.epsilon, epsilon) <= 8
+        else:
+            assert raw(ring, res.epsilon) == raw(ring, epsilon), ring.name
+            assert {k: raw(ring, v) for k, v in res.transform.coeffs.items()} \
+                == {k: raw(ring, v) for k, v in phi.coeffs.items()}, ring.name

@@ -259,7 +259,8 @@ def test_series_close(specs):
 
 
 def _never():
-    raise AssertionError("an exact ring built the roundoff bound")
+    raise AssertionError("the roundoff bound was built where no "
+                         "coefficient needs it")
 
 
 @PROPERTY
@@ -279,6 +280,23 @@ def test_residual_valuation(specs, shift):
                              for k, c in coeffs.items()})
             assert ring.residual_valuation(residual, lambda: loose) == (
                 float("inf"))
+            # coefficients within tol pass whatever the bound: it is not built
+            top = max((abs(c) for c in residual.coeffs.values()), default=1)
+            tiny = {(i, 0): c * (ring.tol / (2 * top))
+                    for (i, _), c in residual.coeffs.items()}
+            small = Series2._raw(ring, ("x", "z"), 8, tiny, False)
+            assert ring.residual_valuation(small, _never) == float("inf")
+            # else the result is the eager one, here with a bound on every
+            # other key
+            mixed = Series2._raw(ring, ("x", "z"), 8,
+                                 {**tiny, **residual.coeffs}, False)
+            half = dict(list(loose.coeffs.items())[::2])
+            eager = min((i + j for (i, j), c in mixed.coeffs.items()
+                         if abs(c) > ring.tol * max(
+                             1.0, abs(half.get((i, j), ring.zero)))),
+                        default=float("inf"))
+            assert ring.residual_valuation(mixed, lambda: loose._like(
+                8, half, False)) == eager
         else:
             assert ring.residual_valuation(residual, _never) == (
                 residual.valuation())

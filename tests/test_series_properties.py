@@ -13,7 +13,8 @@ from pdfol.errors import NotInvertibleError, PdfolError, PrecisionError
 from pdfol.forms import PlaneVectorField, cs_index
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
-from util import SPECS, product_by_pairs, raw, spec_value
+from util import (SPECS, inverse_unit_by_dot, product_by_pairs, raw,
+                  spec_value)
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -35,6 +36,9 @@ def monomial(q, e):
 MONOMIALS = st.builds(monomial, st.builds(rational, NONZERO,
                                           st.integers(1, 3)),
                       st.integers(0, 2))
+# small q*b^e, or large coprime denominators, complex floats and
+# b-polynomials of degree up to 2
+COEFFICIENTS = st.one_of(MONOMIALS, SPECS)
 
 
 @st.composite
@@ -49,17 +53,19 @@ def tails(draw, keys, values=MONOMIALS):
 
 
 @st.composite
-def units(draw, keys):
+def units(draw, keys, values=MONOMIALS):
     """(order, constant term, tail, truncated flag) of a random unit;
     the constant is a nonzero rational, the only kind of unit in Q[b]."""
     order = draw(st.integers(0, 8))
     u0 = rational(draw(NONZERO), draw(st.integers(1, 3)))
-    return order, u0, draw(tails(keys)), draw(st.booleans())
+    return order, u0, draw(tails(keys, values)), draw(st.booleans())
 
 
 KEYS1 = st.integers(1, 8)
 KEYS2 = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
     lambda key: key != (0, 0))
+# low keys, so that most degrees of the inverse hold several keys
+LOW_KEYS2 = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
 
 
 def build1(ring, order, u0, tail, truncated):
@@ -105,6 +111,20 @@ def test_series2_unit_times_inverse_is_one(case):
         u = build2(ring, order, u0, tail, truncated)
         check_inverse(u, Series2.constant(ring, XZ, order, 1),
                       build2(ring, order, None, tail, truncated))
+
+
+@PROPERTY
+@given(units(KEYS1, COEFFICIENTS), units(LOW_KEYS2, COEFFICIENTS))
+def test_inverse_unit_matches_the_per_key_oracle(case1, case2):
+    """Bit for bit and key for key: the per-degree combine sums each key
+    in the order of the oracle's dot product, and stores the keys in the
+    oracle's order."""
+    for ring in RINGS:
+        for u in (build1(ring, *case1), build2(ring, *case2)):
+            got, want = u.inverse_unit(), inverse_unit_by_dot(u)
+            assert [(k, raw(ring, v)) for k, v in got.coeffs.items()] == \
+                [(k, raw(ring, v)) for k, v in want.coeffs.items()], ring.name
+            assert (got.order, got.truncated) == (want.order, want.truncated)
 
 
 def cs_index_full_order(field, z0):
@@ -269,9 +289,6 @@ def substitute_by_products(series, images, one):
 
 
 ALMOST_ONE = rational(10 ** 12 + 1, 10 ** 12)
-# small q*b^e, or large coprime denominators, complex floats and
-# b-polynomials of degree up to 2
-COEFFICIENTS = st.one_of(MONOMIALS, SPECS)
 
 
 @st.composite

@@ -1,10 +1,13 @@
-"""Builders for the worked examples, and the coefficient data and
-pairwise product oracle of the series property tests, shared across
-test modules."""
+"""Builders for the worked examples, the coefficient data of the series
+property tests, and the reference oracles they compare against: the
+pairwise product, the unit inverse by one dot product per key and the
+conjugacy solve by full products, shared across test modules."""
 
+import mpmath
 from hypothesis import strategies as st
 
 from pdfol.forms import OneForm2
+from pdfol.normal_form import _dz, homological_step
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
                          rational)
 from pdfol.series import Series2
@@ -116,3 +119,65 @@ def product_by_pairs(a, b):
             acc[key] = ring.add(acc[key], term) if key in acc else term
     acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
     return a._like(order, acc, dropped)
+
+
+def ulps(a, b, precision=64):
+    """|a - b| in units of the last of ``precision`` bits of the larger of
+    |a| and |b|; 0 when both are 0."""
+    with mpmath.workprec(4 * precision):
+        diff, scale = abs(a - b), max(abs(a), abs(b))
+    if not scale:
+        return 0
+    return float(diff / mpmath.ldexp(1, mpmath.frexp(scale)[1] - precision))
+
+
+def inverse_unit_by_dot(u):
+    """u.inverse_unit() one key at a time: v_0 = 1/u_0 and, for each
+    monomial n of degree d in ``_monomials(d)`` order, v_n = -v_0 times
+    ``ring.dot`` of u_k * v_(n-k) over the nonconstant terms k of u that
+    divide n, in ascending key order."""
+    ring = u.ring
+    one = u._CONSTANT
+    inv0 = ring.invert(u.coeffs.get(one, ring.zero))
+    tail = sorted((key, c) for key, c in u.coeffs.items() if key != one)
+    if not tail:
+        return u._like(u.order, {one: inv0}, u.truncated)
+    neg0 = ring.neg(inv0)
+    inv = {one: inv0}
+
+    def pairs(key):  # a key with a negative exponent is never in inv
+        for tkey, c in tail:
+            rest = u._sub_keys(key, tkey)
+            if rest in inv:
+                yield c, inv[rest]
+
+    for d in range(1, u.order + 1):
+        for key in u._monomials(d):
+            acc = ring.dot(pairs(key))
+            if acc is not None:
+                acc = ring.mul(neg0, acc)
+                if not ring.is_zero(acc):
+                    inv[key] = acc
+    return u._like(u.order, inv, True)
+
+
+def normalize_by_products(X, N):
+    """(phi, epsilon) of the conjugacy solve of ``normal_form.normalize``
+    by full products: with rest = a + a*phi_z kept as a whole series,
+    each phi_k comes from the degree-k terms of rest, and then
+    rest = rest + a * (phi_k)_z, a product at order N."""
+    m, a, ring = X.m, X.a.truncate(N), X.ring
+    phi = {}
+    rest = a
+    epsilon = ring.zero
+    for k in range(2, N + 1):
+        part = {key: c for key, c in rest.coeffs.items() if sum(key) == k}
+        phi_k, kept = homological_step(rest._like(N, part, rest.truncated),
+                                       m, k)
+        if k == m:
+            epsilon = kept.coefficient(m, 0)
+        if phi_k.is_zero():
+            continue
+        phi.update(phi_k.coeffs)
+        rest = rest + a * _dz(phi_k, N)
+    return Series2._raw(ring, X.variables, N, phi, False), epsilon
