@@ -137,8 +137,9 @@ def macro_chart1(omega: OneForm2, p: int):
 
 def recenter(omega: OneForm2, z0) -> OneForm2:
     """Translate the second variable so the point (0, z0) moves to the
-    origin.  Exact on polynomial data; raises PrecisionError on truncated
-    series, whose translated low-order coefficients would be unreliable."""
+    origin.  Exact on polynomial data; raises PrecisionError, naming z0
+    and the order, on truncated series, whose translated low-order
+    coefficients would be unreliable."""
     ring = omega.ring
     z0 = ring.coerce(z0)
     if ring.is_zero(z0):
@@ -147,8 +148,12 @@ def recenter(omega: OneForm2, z0) -> OneForm2:
     ex = Series2(ring, omega.variables, order, {(1, 0): 1})
     ey = Series2(ring, omega.variables, order, {(0, 1): 1, (0, 0): z0})
     cache = {}
-    return OneForm2(omega.a.substitute(ex, ey, cache),
-                    omega.b.substitute(ex, ey, cache))
+    try:
+        return OneForm2(omega.a.substitute(ex, ey, cache),
+                        omega.b.substitute(ex, ey, cache))
+    except PrecisionError as exc:
+        raise PrecisionError("recenter at z = %s, order %d: %s"
+                             % (ring.format_coeff(z0), order, exc)) from exc
 
 
 @dataclass(frozen=True)

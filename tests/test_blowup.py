@@ -169,8 +169,12 @@ def test_recenter_refuses_truncated_data():
     trunc = Series2(QQ, ("x", "z"), 2, {(0, 3): 1, (0, 1): 1})  # drops (0,3)
     assert trunc.truncated
     omega = OneForm2(trunc, poly(2, {(1, 0): 1}, variables=("x", "z")))
-    with pytest.raises(PrecisionError):
-        recenter(omega, 1)
+    # the message names the stage, the point and the order
+    for z0, text in ((1, "1"), (rational(-3, 2), "-3/2")):
+        with pytest.raises(PrecisionError, match=r"^recenter at z = %s, "
+                           r"order 2: substituting a valuation-0 series "
+                           r"into a truncated series$" % text):
+            recenter(omega, z0)
 
 
 def finite(points):

@@ -491,23 +491,38 @@ def test_report_canonical_section_is_byte_stable():
         canonical_bytes(json.loads(second))
 
 
-def test_report_canonical_bytes_match_the_recorded_digests():
-    """The sha256 of the canonical section of ``report --json`` on each
-    recorded benchmark input of the ``homological`` workload, at its own
-    mode and order, as an earlier version of the program wrote it: a
-    change of any byte between versions fails here (an input that exits
-    non-zero has no section, and only its exit code is kept)."""
-    path = pathlib.Path(__file__).parent / "data" / "canonical_sha256.json"
+def changed_digests(name):
+    """The keys of tests/data/``name`` whose recorded exit code and sha256
+    of the canonical section of ``report --json`` differ from today's.  A
+    key is mode|order|text, and order "default" passes no --order; an
+    input that exits non-zero has no section, and only its exit code is
+    kept."""
+    path = pathlib.Path(__file__).parent / "data" / name
     recorded = json.loads(path.read_text())
     got = {}
     for key in recorded:
         mode, order, text = key.split("|", 2)
-        code, out, _ = run(["report", "--json", "--mode", mode, "--order",
-                            order, "--expr", text])
+        orders = [] if order == "default" else ["--order", order]
+        code, out, _ = run(["report", "--json", "--mode", mode] + orders
+                           + ["--expr", text])
         digest = (hashlib.sha256(canonical_bytes(json.loads(out))).hexdigest()
                   if code == 0 else None)
         got[key] = {"exit": code, "sha256": digest}
-    assert [key for key in recorded if got[key] != recorded[key]] == []
+    return [key for key in recorded if got[key] != recorded[key]]
+
+
+def test_report_canonical_bytes_match_the_recorded_digests():
+    """The canonical section on each recorded benchmark input of the
+    ``homological`` workload, at its own mode and order, as an earlier
+    version of the program wrote it: a change of any byte between
+    versions fails here."""
+    assert changed_digests("canonical_sha256.json") == []
+
+
+def test_report_canonical_bytes_at_high_order():
+    """The same for the worked example in all three rings at the default
+    order, 24 and 30, where the normal form runs longest."""
+    assert changed_digests("worked_example_sha256.json") == []
 
 
 def test_report_param_mode():

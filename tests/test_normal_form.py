@@ -11,9 +11,12 @@ from pdfol.normal_form import (FiberedField, apply_fibered, bound_bruteforce,
 from pdfol.rings import (ComplexApprox, ParamPolyRing, RationalExact,
                          rational)
 from pdfol.series import Series2
-from util import expected_final, fibered_model_form
+from util import (expected_final, fibered_model_form, local_form,
+                  normalize_by_products, raw, to_fibered_field_dense, ulps)
 
 QQ = RationalExact()
+CC = ComplexApprox()
+PB = ParamPolyRing("b")
 XZ = ("x", "z")
 
 
@@ -175,16 +178,50 @@ def test_to_fibered_field_rejects_bad_dz_coefficient():
         to_fibered_field(omega, 2, 7)
 
 
+def saddle_local(order, ring, b):
+    """The recentred local form (m = 6) of d(y^2+x^4) - 5x^2(1+b*x)dy;
+    b = 1 is the worked example."""
+    return recenter(expected_final(2, rational(-5), (b,), ring=ring,
+                                   order=order + 4), 2)
+
+
 def saddle_fibered(order, b_value=None):
     if b_value is None:
-        ring = ParamPolyRing("b")
-        tail = (ring.generator,)
+        omega = saddle_local(order, PB, PB.generator)
     else:
-        ring = QQ
-        tail = (rational(b_value),)
-    omega = recenter(expected_final(2, rational(-5), tail, ring=ring,
-                                    order=order + 4), 2)
+        omega = saddle_local(order, QQ, rational(b_value))
     return to_fibered_field(omega, 6, order=order)
+
+
+def test_fibered_unit_must_start_at_one():
+    a = series(8, {(0, 2): 1})
+    assert FiberedField(2, a).u == series(8, {(0, 0): 1})
+    with pytest.raises(MathError):
+        FiberedField(2, a, series(8, {(0, 0): 2, (1, 0): 1}))
+
+
+def test_unit_tail_matches_the_dense_oracle():
+    """to_fibered_field keeps the tail as a/u and normalize solves against
+    u; the oracle forms the dense tail -A/U, shears all of it and solves
+    by full products.  Exact and param phi and epsilon are identical;
+    float epsilon sums in another order."""
+    forms = [(saddle_local(N, ring, b), N) for N in (8, 12, 18)
+             for ring, b in ((QQ, 1), (QQ, rational(-7, 3)), (CC, 1),
+                             (CC, rational(-7, 3)), (PB, 1),
+                             (PB, PB.generator))]
+    for omega, N in forms:
+        ring = omega.ring
+        X = to_fibered_field(omega, 6, N)
+        assert len(X.u.coeffs) > 1
+        res = normalize(X, N)
+        phi, epsilon = normalize_by_products(
+            to_fibered_field_dense(omega, 6, N), N)
+        if ring is CC:
+            assert ulps(res.epsilon, epsilon) <= 64
+        else:
+            assert raw(ring, res.epsilon) == raw(ring, epsilon)
+            assert {k: raw(ring, v) for k, v in res.transform.coeffs.items()} \
+                == {k: raw(ring, v) for k, v in phi.coeffs.items()}
 
 
 def test_saddle_fibered_shape():
@@ -198,18 +235,35 @@ def test_saddle_epsilon_nonzero():
 
 
 def test_float_check_rejects_epsilon_off_by_one():
-    # the worked example d(y^2+x^4) - 5x^2(1+x)dy: epsilon is about 5.9e6
-    # and the transform's coefficients grow far larger, so a floor scaled
-    # by the largest coefficient would let epsilon + 1 through
-    CC = ComplexApprox()
-    for N in (12, 18):
-        omega = recenter(expected_final(2, rational(-5), (1,), ring=CC,
-                                        order=N + 4), CC.coerce(2))
-        X = to_fibered_field(omega, 6, order=N)
-        res = normalize(X, N)
-        assert res.residual_valuation > N
-        off = CC.add(res.epsilon, CC.one)
-        assert verify_conjugation(X, res.transform, 6, off, N) <= N
+    """The float check's sensitivity, pinned: epsilon is about 5.9e6 on
+    the worked example and 1.4e10 on the (3, 9) saddle, and the
+    transforms' coefficients grow far larger, so a floor scaled by the
+    largest coefficient would let these offsets through.  A shift within
+    tol of the magnitudes at x^m counts as roundoff and passes."""
+    probes = (("d(y^2+x^4)-5*x^2*(1+x)*dy", (12, 18), 1, 1e-3),
+              ("d(y^2+x^6) + -5*x^3*(1+x)*dy", (12, 14), 1e3, 1))
+    for text, orders, caught, passed in probes:
+        for N in orders:
+            omega, m = local_form(text, "float", N)
+            X = to_fibered_field(omega, m, order=N)
+            res = normalize(X, N)
+            assert res.residual_valuation > N
+            for shift, want in ((caught, m), (passed, math.inf)):
+                off = CC.add(res.epsilon, CC.coerce(shift))
+                assert verify_conjugation(X, res.transform, m, off, N) \
+                    == want, (text, N, shift)
+
+
+def test_perturbed_transform_fails_at_its_degree():
+    # u != 1 here, and u is a unit: a wrong phi coefficient of degree d
+    # shows in W at degree d and no lower
+    N = 12
+    X = saddle_fibered(N, b_value=1)
+    assert len(X.u.coeffs) > 1
+    res = normalize(X, N)
+    for d in range(2, N + 1):
+        bad = res.transform + series(N, {(d - 1, 1): rational(1, 7)})
+        assert verify_conjugation(X, bad, 6, res.epsilon, N) == d
 
 
 def test_dicritical_family_epsilon_zero():

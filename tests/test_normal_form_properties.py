@@ -23,11 +23,11 @@ NONZERO = st.integers(-4, 4).filter(bool)
 
 
 @st.composite
-def terms(draw, N, max_j):
-    """{(i, j): (q, e)} with 2 <= i + j <= N: the coefficient q*b^e."""
+def terms(draw, N, max_j, low=2):
+    """{(i, j): (q, e)} with low <= i + j <= N: the coefficient q*b^e."""
     out = {}
     for _ in range(draw(st.integers(1, 6))):
-        k = draw(st.integers(2, N))
+        k = draw(st.integers(low, N))
         j = draw(st.integers(0, min(k, max_j)))
         out[(k - j, j)] = (rational(draw(NONZERO), draw(st.integers(1, 3))),
                            draw(st.integers(0, 2)))
@@ -129,6 +129,26 @@ def test_online_solve_matches_the_full_product_oracle(case):
         phi, epsilon = normalize_by_products(X, N)
         if ring is CC:
             assert ulps(res.epsilon, epsilon) <= 8
+        else:
+            assert raw(ring, res.epsilon) == raw(ring, epsilon), ring.name
+            assert {k: raw(ring, v) for k, v in res.transform.coeffs.items()} \
+                == {k: raw(ring, v) for k, v in phi.coeffs.items()}, ring.name
+
+
+@PROPERTY
+@given(cases(), terms(8, 2, low=1))
+def test_solve_over_a_unit_matches_the_dense_oracle(case, unit):
+    """With u != 1, normalize divides by u one slice at a time and the
+    check multiplies through by it; the oracle solves the dense tail a/u
+    by full products."""
+    m, N, tail, _ = case
+    unit[(0, 0)] = (rational(1), 0)
+    for ring in RINGS:
+        X = FiberedField(m, in_ring(ring, tail, N), in_ring(ring, unit, N))
+        res = normalize(X, N)
+        phi, epsilon = normalize_by_products(X, N)
+        if ring is CC:
+            assert ulps(res.epsilon, epsilon) <= 64
         else:
             assert raw(ring, res.epsilon) == raw(ring, epsilon), ring.name
             assert {k: raw(ring, v) for k, v in res.transform.coeffs.items()} \

@@ -1,13 +1,18 @@
 """Builders for the worked examples, the coefficient data of the series
 property tests, and the reference oracles they compare against: the
-pairwise product, the unit inverse by one dot product per key and the
-conjugacy solve by full products, shared across test modules."""
+pairwise product, the unit inverse by one dot product per key, the
+fibered field by the dense tail and the conjugacy solve by full
+products, shared across test modules."""
 
 import mpmath
 from hypothesis import strategies as st
 
+from pdfol.blowup import blowup_chain, recenter
+from pdfol.classify import gpd_detect, parse_prenormal
+from pdfol.errors import MathError
 from pdfol.forms import OneForm2
-from pdfol.normal_form import _dz, homological_step
+from pdfol.normal_form import FiberedField, _dz, homological_step
+from pdfol.parser import parse_expr
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
                          rational)
 from pdfol.series import Series2
@@ -53,6 +58,18 @@ def fibered_model_form(m, a_coeff, order=24, ring=QQ):
         a[(m, 0)] = ring.neg(ring.coerce(a_coeff))
     return OneForm2(Series2(ring, ("x", "z"), order, a),
                     Series2(ring, ("x", "z"), order, {(1, 0): 1}))
+
+
+def local_form(text, mode, order):
+    """(omega, m): the recentred local form at the Poincare-Dulac
+    candidate, as ``analyze`` builds it from the input text parsed at
+    ``order``, and its resonance m."""
+    form = parse_expr(text, mode, order).form
+    ring = form.ring
+    data = parse_prenormal(form)
+    m, z1, _ = gpd_detect(data.p, ring.near_rational(data.alpha))
+    final = blowup_chain(form, data.p).final
+    return recenter(final, ring.from_rational(z1)), m
 
 
 # primes near 10**12 and 10**9: sums of their fractions need large lcms
@@ -161,12 +178,42 @@ def inverse_unit_by_dot(u):
     return u._like(u.order, inv, True)
 
 
+def to_fibered_field_dense(omega, m, order):
+    """``normal_form.to_fibered_field`` by the dense tail: q = -A*U^-1 to
+    ``order``, the shear z -> z - gamma*x substituted into all of q, and
+    the field's tail q - m*z over the unit 1."""
+    ring = omega.ring
+    a_t = omega.a.truncate(order + 1)
+    b_t = omega.b.truncate(order + 1)
+    if b_t.is_zero() or b_t.min_exponent(0) < 1:
+        raise MathError("dz-coefficient is not of the form x*(unit)")
+    unit = b_t.divide_monomial((1, 0))
+    if ring.is_zero(unit.coefficient(0, 0)):
+        raise MathError("dz-coefficient is not of the form x*(unit)")
+    q = (-a_t) * unit.inverse_unit()
+    if not ring.is_zero(q.coefficient(0, 0)):
+        raise MathError("the origin is not singular")
+    if not ring.eq(q.coefficient(0, 1), ring.coerce(m)):
+        raise MathError("z-linear slope differs from m = %d" % m)
+    q10 = q.coefficient(1, 0)
+    variables = omega.variables
+    if not ring.is_zero(q10):
+        gamma = ring.mul(q10, ring.coerce(rational(1, m - 1)))
+        ex = Series2(ring, variables, order, {(1, 0): 1})
+        ey = Series2(ring, variables, order,
+                     {(0, 1): 1, (1, 0): ring.neg(gamma)})
+        q = q.substitute(ex, ey) + Series2.monomial(ring, variables, order,
+                                                    (1, 0), gamma)
+    tail = q - Series2.monomial(ring, variables, order, (0, 1), ring.coerce(m))
+    return FiberedField(m, tail)
+
+
 def normalize_by_products(X, N):
     """(phi, epsilon) of the conjugacy solve of ``normal_form.normalize``
-    by full products: with rest = a + a*phi_z kept as a whole series,
-    each phi_k comes from the degree-k terms of rest, and then
-    rest = rest + a * (phi_k)_z, a product at order N."""
-    m, a, ring = X.m, X.a.truncate(N), X.ring
+    by full products: with a the dense tail X.a/X.u and rest = a + a*phi_z
+    kept as a whole series, each phi_k comes from the degree-k terms of
+    rest, and then rest = rest + a * (phi_k)_z, a product at order N."""
+    m, a, ring = X.m, X.a.divide(X.u).truncate(N), X.ring
     phi = {}
     rest = a
     epsilon = ring.zero
