@@ -137,9 +137,10 @@ def macro_chart1(omega: OneForm2, p: int):
 
 def recenter(omega: OneForm2, z0) -> OneForm2:
     """Translate the second variable so the point (0, z0) moves to the
-    origin.  Exact on polynomial data; raises PrecisionError, naming z0
-    and the order, on truncated series, whose translated low-order
-    coefficients would be unreliable."""
+    origin, the only point ``forms.linear_part``, ``forms.cs_index`` and
+    ``forms.report_at`` read.  Exact on polynomial data; raises
+    PrecisionError, naming z0 and the order, on truncated series, whose
+    translated low-order coefficients would be unreliable."""
     ring = omega.ring
     z0 = ring.coerce(z0)
     if ring.is_zero(z0):
@@ -209,8 +210,7 @@ def roots_series1(q: Series1):
 def singular_points_on_divisor(result: BlowupResult):
     """Singular points of the reduced foliation on the exceptional line,
     in the given chart.  The chart origin of the opposite chart is not
-    visible here; a corner marker stands in for it.  ``blowup_chain``
-    computes that corner chart of its last step (``last_chart2``)."""
+    visible here; a corner marker stands in for it."""
     marker = [DivisorPoint(None, 0, corner=True)]
     omega = result.divisor_first()
     ring = omega.ring
@@ -246,7 +246,6 @@ class ReductionPath:
 
     original: OneForm2
     steps: list
-    last_chart2: BlowupResult | None
     self_intersections: list
     total_divided: int
 
@@ -257,13 +256,6 @@ class ReductionPath:
     @property
     def labels(self) -> list:
         return ["D%d" % (i + 1) for i in range(len(self.steps))]
-
-
-def _at_step(i, chart, *args) -> BlowupResult:
-    try:
-        return chart(*args)
-    except PrecisionError as exc:
-        raise PrecisionError("blow-up %d, %s" % (i, exc)) from exc
 
 
 def blowup_chain(omega: OneForm2, p: int) -> ReductionPath:
@@ -278,13 +270,15 @@ def blowup_chain(omega: OneForm2, p: int) -> ReductionPath:
     if p < 0:
         raise MathError("a reduction chain needs p >= 0")
     if p == 0:
-        return ReductionPath(original=omega, steps=[], last_chart2=None,
-                             self_intersections=[], total_divided=0)
+        return ReductionPath(original=omega, steps=[], self_intersections=[],
+                             total_divided=0)
     steps = []
     current = omega
-    previous = None
     for i in range(1, p + 1):
-        res = _at_step(i, blowup_chart1, current)
+        try:
+            res = blowup_chart1(current)
+        except PrecisionError as exc:
+            raise PrecisionError("blow-up %d, %s" % (i, exc)) from exc
         if res.dicritical:
             raise MathError("dicritical component at blow-up %d; "
                             "the chain does not continue" % i)
@@ -294,18 +288,14 @@ def blowup_chain(omega: OneForm2, p: int) -> ReductionPath:
                 raise MathError(
                     "blow-up %d leaves singular points away from the chart "
                     "origin; plain chains do not apply" % i)
-        previous = current
         steps.append(res)
         current = res.form
+    total = sum(s.k_divided for s in steps)
     if _exact(omega):
         macro, k_macro = macro_chart1(omega, p)
-        total = sum(s.k_divided for s in steps)
         if k_macro != total or macro.a != current.a or macro.b != current.b:
             raise MathError("blow-up chain disagrees with the one-shot "
                             "substitution; internal error")
-    else:
-        total = sum(s.k_divided for s in steps)
-    last_chart2 = _at_step(p, blowup_chart2, previous)
-    return ReductionPath(original=omega, steps=steps, last_chart2=last_chart2,
+    return ReductionPath(original=omega, steps=steps,
                          self_intersections=[-2] * (p - 1) + [-1],
                          total_divided=total)

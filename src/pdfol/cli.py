@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from . import __version__
-from .blowup import (blowup_chain, blowup_chart1, blowup_chart2,
+from .blowup import (blowup_chain, blowup_chart1, blowup_chart2, recenter,
                      singular_points_on_divisor)
 from .classify import analyze, gpd_condition, gpd_detect
 from .errors import InputError, MathError, PdfolError, PrecisionError
@@ -25,7 +25,7 @@ from .forms import cs_index, dual, report_at
 from .holonomy import dichotomy, numeric_holonomy, pd_holonomy_model, sz_lambda
 from .parser import parse_expr
 from .report import canonical_bytes, document, encode, render
-from .rings import format_rational, rational
+from .rings import ComplexApprox, format_rational, rational
 
 ERROR_CODES = {2: "input", 3: "math", 4: "precision"}
 
@@ -168,11 +168,6 @@ def _fmt(value, ring):
     return ring.format_coeff(value)
 
 
-def _print_form_generic(form):
-    return "(%s) d%s + (%s) d%s" % (form.a.format(), form.variables[0],
-                                    form.b.format(), form.variables[1])
-
-
 # ------------------------------------------------------------- commands
 
 
@@ -202,13 +197,13 @@ def _cmd_blowup(args, out):
                 out.write("step %d: chart %d, dicritical: %s\n"
                           % (k + 1, args.chart, result.dicritical))
                 current = result.form
-            out.write("final: %s\n" % _print_form_generic(current))
+            out.write("final: %s\n" % current.format())
         else:
             path = blowup_chain(expr.form, args.times)
             out.write("labels: %s\n" % " ".join(path.labels))
             out.write("self-intersections: %s\n"
                       % " ".join(str(s) for s in path.self_intersections))
-            out.write("final: %s\n" % _print_form_generic(path.final))
+            out.write("final: %s\n" % path.final.format())
     return 0
 
 
@@ -273,7 +268,9 @@ def _cmd_holonomy(args, out):
         if args.m is None or args.m < 2:
             raise InputError("--formal needs --m >= 2")
         N = _order(args)
-        h = pd_holonomy_model(args.m, 24 if N is None else N)
+        bits = _env_int("FF_PRECISION")
+        ring = ComplexApprox() if bits is None else ComplexApprox(bits)
+        h = pd_holonomy_model(args.m, 24 if N is None else N, ring)
         out.write("multiplier: %s\n" % _fmt(h.multiplier, h.ring))
         out.write("series: %s\n" % h.format())
         return 0
@@ -301,7 +298,7 @@ def _cmd_cs_index(args, out):
     for label, text in _inputs(args):
         expr = _parse(args, text)
         ring = expr.form.ring
-        value = cs_index(dual(expr.form), ring.from_rational(at))
+        value = cs_index(dual(recenter(expr.form, ring.from_rational(at))))
         if label is not None:
             out.write("== %s ==\n" % label)
         out.write("cs_index: %s\n" % _fmt(value, ring))
@@ -333,7 +330,8 @@ def _report_document(args, text):
         }
         points = singular_points_on_divisor(path.steps[-1])
         canonical["singular_points"] = [
-            report_at(path.final, pt.location, chart="C1").json(ring)
+            report_at(recenter(path.final, pt.location), pt.location,
+                      chart="C1").json(ring)
             for pt in points if not pt.corner]
         result = classification.normalization
         canonical["normal_form"] = {
@@ -364,6 +362,9 @@ def _cmd_report(args, out):
         payload = docs[0] if len(docs) == 1 else docs
         out.write(render(payload) + "\n")
         return 0
+    # imported here: hashlib loads OpenSSL, about 3.6 MB of resident
+    # memory that the --json path never needs
+    import hashlib
     for (label, _), doc in zip(inputs, docs):
         if label is not None:
             out.write("== %s ==\n" % label)
@@ -374,7 +375,8 @@ def _cmd_report(args, out):
         for section in ("reduction", "normal_form", "holonomy"):
             if canonical[section] is not None:
                 out.write("%s: %s\n" % (section, canonical[section]))
-        out.write("canonical-sha: %d bytes\n" % len(canonical_bytes(doc)))
+        out.write("canonical-sha256: %s\n"
+                  % hashlib.sha256(canonical_bytes(doc)).hexdigest())
     return 0
 
 

@@ -67,7 +67,7 @@ class OneForm2:
 
     def format(self) -> str:
         v1, v2 = self.variables
-        return "(%s)*d%s + (%s)*d%s" % (self.a.format(), v1, self.b.format(), v2)
+        return "(%s) d%s + (%s) d%s" % (self.a.format(), v1, self.b.format(), v2)
 
 
 @dataclass(frozen=True)
@@ -113,27 +113,15 @@ def wedge(omega: OneForm2, eta: OneForm2) -> Series2:
 Matrix2 = tuple  # ((e00, e01), (e10, e11)) of ring elements
 
 
-def linear_part(field: PlaneVectorField, at=(0, 0)) -> Matrix2:
-    """Jacobian of the field at a singular point (verified)."""
+def linear_part(field: PlaneVectorField) -> Matrix2:
+    """Jacobian of the field at the origin, which must be singular
+    (verified); ``blowup.recenter`` moves another point there."""
     ring = field.ring
-    variables = field.variables
-    order = min(field.p1.order, field.p2.order)
-    c1, c2 = (ring.coerce(c) for c in at)
     rows = []
-    if ring.is_zero(c1) and ring.is_zero(c2):
-        for comp in (field.p1, field.p2):
-            if not ring.is_zero(comp.coefficient(0, 0)):
-                raise MathError("linear part requested at a non-singular point")
-            rows.append((comp.coefficient(1, 0), comp.coefficient(0, 1)))
-        return (rows[0], rows[1])
-    ex = Series2(ring, variables, order, {(1, 0): 1, (0, 0): c1})
-    ey = Series2(ring, variables, order, {(0, 1): 1, (0, 0): c2})
-    cache = {}
     for comp in (field.p1, field.p2):
-        local = comp.substitute(ex, ey, cache)
-        if not ring.is_zero(local.coefficient(0, 0)):
+        if not ring.is_zero(comp.coefficient(0, 0)):
             raise MathError("linear part requested at a non-singular point")
-        rows.append((local.coefficient(1, 0), local.coefficient(0, 1)))
+        rows.append((comp.coefficient(1, 0), comp.coefficient(0, 1)))
     return (rows[0], rows[1])
 
 
@@ -254,19 +242,20 @@ def classify_singularity(L: Matrix2, ring) -> SingularityType:
                            approximate=True)
 
 
-def cs_index(field: PlaneVectorField, z0):
-    """Camacho-Sad index of the divisor {v1 = 0} at the point v2 = z0.
+def cs_index(field: PlaneVectorField):
+    """Camacho-Sad index of the divisor {v1 = 0} at the origin;
+    ``blowup.recenter`` moves another divisor point there.
 
     Writing the field as v1*ptilde d/dv1 + q d/dv2, the index is the
-    residue at z0 of ptilde(0, v2)/q(0, v2), i.e. the coefficient of
-    (v2 - z0)^(s-1) in ptilde(0, v2)/u(v2) where q(0, v2) =
-    (v2 - z0)^s u(v2), u(z0) != 0.  Simple zeros (s = 1) cover every
-    point the reduction pipeline produces; higher s costs nothing with
-    the same unit division, so it is not rejected.
+    residue at 0 of ptilde(0, v2)/q(0, v2), i.e. the coefficient of
+    v2^(s-1) in ptilde(0, v2)/u(v2) where q(0, v2) = v2^s u(v2),
+    u(0) != 0.  Simple zeros (s = 1) cover every point the reduction
+    pipeline produces; higher s costs nothing with the same unit
+    division, so it is not rejected.
 
     That coefficient reads only the degrees below s of ptilde(0, .) and
     of u, so both are truncated to order s - 1 before u is inverted;
-    the translation to z0 and the valuation test run on the full data.
+    the valuation test runs on the full data.
     """
     ring = field.ring
     px, q = field.p1, field.p2
@@ -280,10 +269,6 @@ def cs_index(field: PlaneVectorField, z0):
     q0 = q.restrict_first_zero()
     if q0.is_zero():
         raise MathError("every divisor point is singular; no isolated index")
-    z0 = ring.coerce(z0)
-    if not ring.is_zero(z0):
-        q0 = q0.translate(z0)
-        ptilde0 = ptilde0.translate(z0)
     s = q0.valuation()
     if s is math.inf or s < 1:
         raise MathError("the point is not singular on the divisor")
@@ -317,13 +302,15 @@ class SingularityReport:
         }
 
 
-def report_at(omega: OneForm2, z0, chart: str) -> SingularityReport:
-    """Classify the singular point of omega at (0, z0) on the divisor."""
-    ring = omega.ring
-    X = dual(omega)
-    L = linear_part(X, (0, z0))
+def report_at(local: OneForm2, z0, chart: str) -> SingularityReport:
+    """Classify the singular point at the origin of ``local``, the chart
+    form already recentred at the divisor point (0, z0); z0 is reported
+    as its location."""
+    ring = local.ring
+    X = dual(local)
+    L = linear_part(X)
     eigs, exact = eigenvalues(L, ring)
     kind = classify_singularity(L, ring)
     return SingularityReport(chart=chart, location=ring.coerce(z0), linear=L,
                              eigenvalues=eigs, eigen_exact=exact, type=kind,
-                             cs=cs_index(X, z0))
+                             cs=cs_index(X))

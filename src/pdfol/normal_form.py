@@ -16,9 +16,6 @@ epsilon, each slice formed once from those below (Ilyashenko-Yakovenko,
 Lectures on Analytic Differential Equations, ch. 1; van der Hoeven's
 "relaxed" arithmetic, J. Symbolic Comput. 34(6), 2002).  Nonzero epsilon
 marks a genuine Poincare-Dulac singularity, 0 one dicritical to order N.
-
-``apply_fibered`` transports a tail through a fibered map by inverting
-the fiber; ``normalize`` does not use it, and tests check it with it.
 """
 
 from __future__ import annotations
@@ -145,12 +142,6 @@ def homological_step(a_k: Series2, m: int, k: int):
             Series2._raw(ring, a_k.variables, k, kept, False))
 
 
-def _x_dx(phi: Series2, order: int) -> Series2:
-    return _times(phi, order, [((i, j), c, i)
-                               for (i, j), c in phi.coeffs.items() if i],
-                  phi.truncated)
-
-
 def _dz(phi: Series2, order: int) -> Series2:
     return _times(phi, order, [((i, j - 1), c, j)
                                for (i, j), c in phi.coeffs.items() if j],
@@ -163,43 +154,6 @@ def _at_order(s: Series2, order: int) -> Series2:
     if s.truncated:
         raise PrecisionError("series data ends before the requested order")
     return Series2._raw(s.ring, s.variables, order, s.coeffs, False)
-
-
-def invert_fiber(phi: Series2, order: int) -> Series2:
-    """The fixpoint psi = z - phi(x, psi), i.e. the inverse of the fiber
-    map z -> z + phi(x,z) with x frozen."""
-    ring = phi.ring
-    variables = phi.variables
-    ex = Series2(ring, variables, order, {(1, 0): 1})
-    psi = Series2(ring, variables, order, {(0, 1): 1})
-    z = psi
-    for _ in range(2 * order + 2):
-        nxt = z - phi.substitute(ex, psi)
-        if nxt == psi:
-            return nxt
-        psi = nxt
-    raise MathError("fiber inversion did not stabilize")
-
-
-def apply_fibered(m: int, a: Series2, phi: Series2, order: int) -> Series2:
-    """Tail of the field transported through z -> z + phi(x,z), by
-    substituting the inverse fiber map.  ``normalize`` does not call it;
-    it is the independent transport oracle that checks its results."""
-    ring = a.ring
-    variables = a.variables
-    phi = _at_order(phi, order)
-    if phi.valuation() < 2:
-        raise MathError("fibered transforms need valuation >= 2")
-    psi = invert_fiber(phi, order)
-    ex = Series2(ring, variables, order, {(1, 0): 1})
-    z = Series2(ring, variables, order, {(0, 1): 1})
-    cache = {}
-    a_at = _at_order(a, order).substitute(ex, psi, cache)
-    xphix_at = _x_dx(phi, order).substitute(ex, psi, cache)
-    phiz_at = _dz(phi, order).substitute(ex, psi, cache)
-    one = Series2.constant(ring, variables, order, 1)
-    flow = psi.scale(ring.coerce(m)) + a_at
-    return xphix_at + (one + phiz_at) * flow - z.scale(ring.coerce(m))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ A subclass holds only its monomial-key convention and the operations
 that make sense for its own arity:
 
 - ``Series1`` (names its variable ``variable``) keys x^k by the int k;
-  only it has ``reversion``, ``translate`` and ``as_polynomial_coeffs``.
+  only it has ``reversion`` and ``as_polynomial_coeffs``.
 - ``Series2`` (names its variables ``variables``) keys x^i*y^j by the
   pair (i, j); only it has ``swap_variables``, ``restrict_first_zero``,
   ``degree_in`` and ``min_exponent``.
@@ -513,14 +513,6 @@ class Series1(_Series):
         """self(inner); inner must have positive valuation unless self is
         an exact polynomial."""
         return self._substitute((inner,), cache)
-
-    def translate(self, value) -> "Series1":
-        """Substitute variable -> variable + value (exact polynomials only
-        when value is nonzero)."""
-        ring = self.ring
-        shifted = Series1(ring, self.variable, self.order,
-                          {0: value, 1: ring.one})
-        return self.compose(shifted)
 
     def reversion(self) -> "Series1":
         """Compositional inverse of a series with h(0) = 0, h'(0) a unit.

@@ -11,8 +11,8 @@ import time
 import jsonschema
 import mpmath
 
-from pdfol.blowup import blowup_chain, blowup_chart1, recenter, \
-    singular_points_on_divisor
+from pdfol.blowup import blowup_chain, blowup_chart1, blowup_chart2, \
+    recenter, singular_points_on_divisor
 from pdfol.classify import gpd_condition, gpd_detect, pd_vs_dicritical
 from pdfol.cli import main
 from pdfol.forms import cs_index, dual, linear_part, matrix_eq, \
@@ -21,14 +21,15 @@ from pdfol.holonomy import (VectorField1, commutes_with_scaling, dichotomy,
                             exp_vf, group_commutator, group_model,
                             is_identity, log_diffeo, numeric_holonomy,
                             pd_holonomy_model, sz_lambda, FormalDiffeo1)
-from pdfol.normal_form import (FiberedField, apply_fibered, bound_bruteforce,
-                               normalize, verify_conjugation)
+from pdfol.normal_form import (FiberedField, bound_bruteforce, normalize,
+                               verify_conjugation)
 from pdfol.parser import parse_expr, print_form
 from pdfol.rings import ComplexApprox, ParamPolyRing, rational, rational_sqrt
 from pdfol.series import Series1, Series2
 
 from test_cli import CORPUS, REPORT_SCHEMA
-from util import QQ, expected_final, fibered_model_form, takens_form
+from util import (QQ, apply_fibered, expected_final, fibered_model_form,
+                  takens_form)
 
 CC = ComplexApprox()
 
@@ -183,10 +184,10 @@ def test_criterion_08_camacho_sad_conservation():
     start = time.perf_counter()
     omega = takens_form(2, 4, rat(-5), unit_tail=(rat(1),))
     path = blowup_chain(omega, 2)
-    corner_field = dual(path.last_chart2.form.swapped())
-    indices = (cs_index(dual(path.final), rat(2)),
-               cs_index(dual(path.final), rat(1, 2)),
-               cs_index(corner_field, 0))
+    corner = blowup_chart2(path.steps[0].form).form.swapped()
+    indices = (cs_index(dual(recenter(path.final, rat(2)))),
+               cs_index(dual(recenter(path.final, rat(1, 2)))),
+               cs_index(dual(corner)))
     assert indices == (rat(1, 6), rat(-2, 3), rat(-1, 2))
     assert sum(indices) == -1 == path.self_intersections[-1]
     done(8, "cs indices (1/6, -2/3, -1/2) sum to -1 on D2", start, 5.0)

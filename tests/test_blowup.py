@@ -58,6 +58,20 @@ def test_chain_on_saddle_family_matches_closed_form(p):
     assert all(not s.dicritical for s in path.steps)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_chain_makes_one_chart_blowup_per_step(p, monkeypatch):
+    chart1 = blowup._chart1
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])  # the chart label
+        return chart1(*args)
+
+    monkeypatch.setattr(blowup, "_chart1", counted)
+    blowup_chain(takens_form(p, 2 * p, rational(-5)), p)
+    assert calls == ["chart1"] * p
+
+
 def test_chain_parametric_unit():
     ring = ParamPolyRing("b")
     omega = takens_form(2, 4, rational(-5), unit_tail=(ring.generator,),
@@ -270,18 +284,22 @@ def test_blowup_rejects_nonsingular_origin():
 def test_corner_point_via_second_chart():
     omega = takens_form(2, 4, rational(-5), unit_tail=(rational(1),))
     path = blowup_chain(omega, 2)
-    corner = path.last_chart2
+    corner = blowup_chart2(path.steps[0].form)
     assert not corner.dicritical
     assert singular_at_origin(corner.form)
-    corner_field = dual(corner.form.swapped())
-    assert cs_index(corner_field, 0) == rational(-1, 2)
+    corner_form = corner.form.swapped()
+
+    def index(form, z0):
+        return cs_index(dual(recenter(form, z0)))
+
+    assert index(corner_form, 0) == rational(-1, 2)
     # the finite chart-1 points are the same ones seen at w = 1/z
-    assert cs_index(corner_field, rational(1, 2)) == rational(1, 6)
-    assert cs_index(corner_field, rational(2)) == rational(-2, 3)
+    assert index(corner_form, rational(1, 2)) == rational(1, 6)
+    assert index(corner_form, rational(2)) == rational(-2, 3)
     # total over the last component equals its self-intersection
-    total = (cs_index(dual(path.final), rational(2))
-             + cs_index(dual(path.final), rational(1, 2))
-             + cs_index(corner_field, 0))
+    total = (index(path.final, rational(2))
+             + index(path.final, rational(1, 2))
+             + index(corner_form, 0))
     assert total == path.self_intersections[-1]
     assert path.labels == ["D1", "D2"]
 

@@ -317,15 +317,15 @@ def test_cli_exit_codes_cover_error_classes():
 
 
 def test_cli_chart_form_zero_to_order_exits_4():
-    # the chart-2 form of the fourth blow-up vanishes to its truncation
-    # order, so no divisor power can be divided out
+    # after four blow-ups the chart form keeps no order to spare, so it
+    # cannot be recentred at the divisor point z = 3/2
     code, out, err = run(["report", "--json", "--mode", "exact",
                           "--order", "8", "--expr",
                           "d(y^2+x^8) + -13/3*x^4*(1+x-2*x^2+1/3*x^3"
                           "-3/2*x^4)*dy"])
     assert code == 4 and out == ""
     assert "error[precision]" in err
-    assert "blow-up 4, chart2" in err and "order" in err
+    assert "recenter at z = 3/2, order" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,23 +379,28 @@ def test_env_defaults(monkeypatch):
     assert code == 3  # below the mantissa floor
 
 
+# every command that builds a float ring reads FF_PRECISION
+FLOAT_COMMANDS = (["classify", "--mode", "float", "--expr", SADDLE_EXPR],
+                  ["holonomy", "--formal", "--m", "2"])
+
+
 @pytest.mark.parametrize("bits", ["0", "-64"])
 def test_ff_precision_below_one_is_input_error(bits, monkeypatch):
     monkeypatch.setenv("FF_PRECISION", bits)
-    code, out, err = run(["classify", "--mode", "float",
-                          "--expr", SADDLE_EXPR])
-    assert (code, out) == (2, "")
-    assert err == ("error[input]: FF_PRECISION must be at least 1, got %s\n"
-                   % bits)
+    for argv in FLOAT_COMMANDS:
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("error[input]: FF_PRECISION must be at least 1, "
+                       "got %s\n" % bits)
 
 
 def test_ff_precision_below_the_mantissa_floor_names_it(monkeypatch):
     monkeypatch.setenv("FF_PRECISION", "10")
-    code, out, err = run(["classify", "--mode", "float",
-                          "--expr", SADDLE_EXPR])
-    assert (code, out) == (3, "")
-    assert err == ("error[math]: ComplexApprox needs at least 53 mantissa "
-                   "bits, got 10\n")
+    for argv in FLOAT_COMMANDS:
+        code, out, err = run(argv)
+        assert (code, out) == (3, ""), argv
+        assert err == ("error[math]: ComplexApprox needs at least 53 "
+                       "mantissa bits, got 10\n")
 
 
 def test_input_file_and_directory(tmp_path):
@@ -489,6 +494,13 @@ def test_report_canonical_section_is_byte_stable():
     _, second, _ = run(["report", "--json", "--expr", SADDLE_EXPR])
     assert canonical_bytes(json.loads(first)) == \
         canonical_bytes(json.loads(second))
+
+
+def test_report_text_prints_the_canonical_digest():
+    _, text, _ = run(["report", "--expr", SADDLE_EXPR])
+    _, out, _ = run(["report", "--json", "--expr", SADDLE_EXPR])
+    digest = hashlib.sha256(canonical_bytes(json.loads(out))).hexdigest()
+    assert text.splitlines()[-1] == "canonical-sha256: " + digest
 
 
 def changed_digests(name):

@@ -86,15 +86,12 @@ def test_linear_part_at_recentered_root():
     L = linear_part(dual(shifted))
     expect = ((rational(-1), rational(0)), (rational(20), rational(-6)))
     assert matrix_eq(L, expect, QQ)
-    # same thing without recentering, evaluated at the point directly
-    L2 = linear_part(dual(omega), (0, 2))
-    assert matrix_eq(L2, expect, QQ)
 
 
 def test_linear_part_parametric():
     ring = ParamPolyRing("b")
     omega = saddle_after_two_blowups(ring, ring.generator)
-    L = linear_part(dual(omega), (0, 2))
+    L = linear_part(dual(recenter_z(omega, 2)))
     assert ring.eq(L[0][0], ring.coerce(-1))
     assert ring.is_zero(L[0][1])
     assert ring.eq(L[1][0], ring.mul(ring.generator, ring.coerce(20)))
@@ -104,7 +101,7 @@ def test_linear_part_parametric():
 def test_linear_part_rejects_regular_point():
     omega = saddle_after_two_blowups(QQ, 1)
     with pytest.raises(MathError):
-        linear_part(dual(omega), (0, 1))
+        linear_part(dual(recenter_z(omega, 1)))
 
 
 def test_eigenvalues_triangular_exact():
@@ -181,10 +178,8 @@ def test_classification_scalar_matrix_scaling_invariance():
 
 def test_cs_index_frozen_values():
     omega = saddle_after_two_blowups(QQ, 1)
-    assert cs_index(dual(omega), 2) == rational(1, 6)
-    assert cs_index(dual(omega), rational(1, 2)) == rational(-2, 3)
-    # the recentered form must give the same numbers at the origin
-    assert cs_index(dual(recenter_z(omega, 2)), 0) == rational(1, 6)
+    assert cs_index(dual(recenter_z(omega, 2))) == rational(1, 6)
+    assert cs_index(dual(recenter_z(omega, rational(1, 2)))) == rational(-2, 3)
 
 
 def test_cs_index_linear_model():
@@ -193,33 +188,33 @@ def test_cs_index_linear_model():
                                ((7, 4), (-2, 3))):
         t1, t2 = rational(n1, d1), rational(n2, d2)
         X = PlaneVectorField(poly(4, {(1, 0): t1}), poly(4, {(0, 1): t2}))
-        assert cs_index(X, 0) == t1 / t2
+        assert cs_index(X) == t1 / t2
 
 
 def test_cs_index_requires_invariant_divisor():
     X = PlaneVectorField(poly(4, {(0, 0): 1}), poly(4, {(0, 1): 1}))
     with pytest.raises(MathError):
-        cs_index(X, 0)
+        cs_index(X)
 
 
 def test_cs_index_requires_singular_point():
     omega = saddle_after_two_blowups(QQ, 1)
     with pytest.raises(MathError):
-        cs_index(dual(omega), 1)
+        cs_index(dual(recenter_z(omega, 1)))
 
 
 def test_cs_index_higher_order_zero():
     # X = x d/dx + z^2 d/dz: residue of 1/z^2 at 0 is 0
     X = PlaneVectorField(poly(4, {(1, 0): 1}), poly(4, {(0, 2): 1}))
-    assert cs_index(X, 0) == 0
+    assert cs_index(X) == 0
     # X = x(1 + z) d/dx + z^2 d/dz: residue of (1+z)/z^2 is 1
     X2 = PlaneVectorField(poly(4, {(1, 0): 1, (1, 1): 1}), poly(4, {(0, 2): 1}))
-    assert cs_index(X2, 0) == 1
+    assert cs_index(X2) == 1
 
 
 def test_report_at_bundles_everything():
     omega = saddle_after_two_blowups(QQ, 1)
-    rep = report_at(omega, 2, chart="C1")
+    rep = report_at(recenter_z(omega, 2), 2, chart="C1")
     assert rep.type.kind is SingKind.POINCARE_DULAC_CANDIDATE
     assert rep.type.m == 6
     assert rep.cs == rational(1, 6)
@@ -227,6 +222,7 @@ def test_report_at_bundles_everything():
     doc = rep.json(QQ)
     assert doc["type"]["m"] == 6
     assert doc["cs_index"] == "1/6"
+    assert doc["location"] == "2/1"
     assert doc["linear_part"] == [["-1/1", "0/1"], ["20/1", "-6/1"]]
 
 

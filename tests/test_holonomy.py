@@ -189,7 +189,7 @@ def test_corner_multiplier_matches_index():
     variables = ("x", "z")
     omega = OneForm2(Series2(QQ, variables, 8, {(0, 1): 2}),
                      Series2(QQ, variables, 8, {(1, 0): 1}))
-    index = cs_index(dual(omega), QQ.coerce(0))
+    index = cs_index(dual(omega))
     assert index == rat(-1, 2)
     target = mpmath.exp(2j * mpmath.pi * mpmath.mpf(-0.5))
     for x0 in (0.01, 0.001):

@@ -5,11 +5,10 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdfol.normal_form import (FiberedField, apply_fibered, normalize,
-                               verify_conjugation)
+from pdfol.normal_form import FiberedField, normalize, verify_conjugation
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series2
-from util import normalize_by_products, raw, ulps
+from util import apply_fibered, normalize_by_products, raw, ulps
 
 QQ = RationalExact()
 CC = ComplexApprox()

@@ -198,7 +198,8 @@ def test_constant_image_into_truncated_series_rejected_without_its_variable():
     with pytest.raises(PrecisionError):
         s.substitute(x, shift)
     with pytest.raises(PrecisionError):
-        Series1(QQ, "z", 1, {0: 1, 3: 5}).translate(1)
+        Series1(QQ, "z", 1, {0: 1, 3: 5}).compose(
+            Series1(QQ, "z", 1, {0: 1, 1: 1}))
 
 
 def test_substitute_order_is_min():
@@ -232,11 +233,12 @@ def test_series1_compose_and_translate():
     f = s1({2: 1, 0: 1}, order=6)  # x^2 + 1
     g = s1({1: 1, 2: 1}, order=6)
     assert f.compose(g) == s1({0: 1, 2: 1, 3: 2, 4: 1}, order=6)
-    t = s1({2: 1}, order=6).translate(1)
+    shift = s1({0: 1, 1: 1}, order=6)  # x + 1
+    t = s1({2: 1}, order=6).compose(shift)
     assert t == s1({0: 1, 1: 2, 2: 1}, order=6)
     geom = s1({0: 1, 1: -1}, order=6).inverse_unit()
     with pytest.raises(PrecisionError):
-        geom.translate(1)
+        geom.compose(shift)
 
 
 def test_series1_reversion():

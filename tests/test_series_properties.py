@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfol.errors import NotInvertibleError, PdfolError, PrecisionError
-from pdfol.forms import PlaneVectorField, cs_index
+from pdfol.blowup import recenter
+from pdfol.forms import OneForm2, PlaneVectorField, cs_index, dual
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
 from util import (SPECS, inverse_unit_by_dot, product_by_pairs, raw,
@@ -128,15 +129,16 @@ def test_inverse_unit_matches_the_per_key_oracle(case1, case2):
 
 
 def cs_index_full_order(field, z0):
-    """The Camacho-Sad residue with every operand kept at full order:
-    coefficient s - 1 of ptilde(0, .) / u, the formula cs_index
-    shortens."""
-    ring = field.ring
-    ptilde0 = field.p1.divide_monomial((1, 0)).restrict_first_zero()
-    q0 = field.p2.restrict_first_zero()
-    if not ring.is_zero(z0):
-        q0 = q0.translate(z0)
-        ptilde0 = ptilde0.translate(z0)
+    """The Camacho-Sad residue at (0, z0) with every operand kept at full
+    order: the field translated by substitution, then coefficient s - 1
+    of ptilde(0, .) / u, the formula cs_index shortens."""
+    ring, order = field.ring, field.p2.order
+    x = Series2.monomial(ring, field.variables, order, (1, 0))
+    shift = Series2(ring, field.variables, order, {(0, 1): 1, (0, 0): z0})
+    cache = {}
+    p1 = field.p1.substitute(x, shift, cache)
+    ptilde0 = p1.divide_monomial((1, 0)).restrict_first_zero()
+    q0 = field.p2.substitute(x, shift, cache).restrict_first_zero()
     s = q0.valuation()
     unit = q0.divide_monomial(s)
     return (ptilde0 * unit.inverse_unit()).coefficient(s - 1)
@@ -170,9 +172,10 @@ def test_cs_index_matches_full_order_formula(case):
             q0 = q0 * factor
         p1 = x * build2(ring, order, None, ptilde, False)
         p2 = q0 + x * build2(ring, order, None, noise, False)
-        field = PlaneVectorField(p1, p2)
-        assert ring.eq(cs_index(field, root),
-                       cs_index_full_order(field, root)), ring.name
+        local = recenter(OneForm2(-p2, p1), root)  # the form dual to (p1, p2)
+        assert ring.eq(cs_index(dual(local)),
+                       cs_index_full_order(PlaneVectorField(p1, p2), root)), \
+            ring.name
 
 
 @st.composite

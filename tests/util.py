@@ -1,8 +1,9 @@
 """Builders for the worked examples, the coefficient data of the series
 property tests, and the reference oracles they compare against: the
 pairwise product, the unit inverse by one dot product per key, the
-fibered field by the dense tail and the conjugacy solve by full
-products, shared across test modules."""
+fibered field by the dense tail, the conjugacy solve by full products
+and the transport of a tail through a fibered map, shared across test
+modules."""
 
 import mpmath
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from pdfol.blowup import blowup_chain, recenter
 from pdfol.classify import gpd_detect, parse_prenormal
 from pdfol.errors import MathError
 from pdfol.forms import OneForm2
-from pdfol.normal_form import FiberedField, _dz, homological_step
+from pdfol.normal_form import (FiberedField, _at_order, _dz, _times,
+                               homological_step)
 from pdfol.parser import parse_expr
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
                          rational)
@@ -228,3 +230,46 @@ def normalize_by_products(X, N):
         phi.update(phi_k.coeffs)
         rest = rest + a * _dz(phi_k, N)
     return Series2._raw(ring, X.variables, N, phi, False), epsilon
+
+
+def _x_dx(phi: Series2, order: int) -> Series2:
+    return _times(phi, order, [((i, j), c, i)
+                               for (i, j), c in phi.coeffs.items() if i],
+                  phi.truncated)
+
+
+def invert_fiber(phi: Series2, order: int) -> Series2:
+    """The fixpoint psi = z - phi(x, psi), i.e. the inverse of the fiber
+    map z -> z + phi(x,z) with x frozen."""
+    ring = phi.ring
+    variables = phi.variables
+    ex = Series2(ring, variables, order, {(1, 0): 1})
+    psi = Series2(ring, variables, order, {(0, 1): 1})
+    z = psi
+    for _ in range(2 * order + 2):
+        nxt = z - phi.substitute(ex, psi)
+        if nxt == psi:
+            return nxt
+        psi = nxt
+    raise MathError("fiber inversion did not stabilize")
+
+
+def apply_fibered(m: int, a: Series2, phi: Series2, order: int) -> Series2:
+    """Tail of the field transported through z -> z + phi(x,z), by
+    substituting the inverse fiber map: the independent transport oracle
+    that checks the results of ``normal_form.normalize``."""
+    ring = a.ring
+    variables = a.variables
+    phi = _at_order(phi, order)
+    if phi.valuation() < 2:
+        raise MathError("fibered transforms need valuation >= 2")
+    psi = invert_fiber(phi, order)
+    ex = Series2(ring, variables, order, {(1, 0): 1})
+    z = Series2(ring, variables, order, {(0, 1): 1})
+    cache = {}
+    a_at = _at_order(a, order).substitute(ex, psi, cache)
+    xphix_at = _x_dx(phi, order).substitute(ex, psi, cache)
+    phiz_at = _dz(phi, order).substitute(ex, psi, cache)
+    one = Series2.constant(ring, variables, order, 1)
+    flow = psi.scale(ring.coerce(m)) + a_at
+    return xphix_at + (one + phiz_at) * flow - z.scale(ring.coerce(m))
