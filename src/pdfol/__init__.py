@@ -4,6 +4,8 @@ truncation order."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (InputError, MathError, NotInvertibleError, PdfolError,
                      PrecisionError)
 from .rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
@@ -25,67 +27,7 @@ from .holonomy import (FormalDiffeo1, HolonomyGroupModel, VectorField1,
                        periodicity, sz_lambda)
 from .parser import InputExpression, parse_expr, print_form
 
-__all__ = [
-    "BlowupResult",
-    "ComplexApprox",
-    "FiberedField",
-    "FormalDiffeo1",
-    "GPDReport",
-    "HolonomyGroupModel",
-    "InputError",
-    "InputExpression",
-    "MathError",
-    "NormalizationResult",
-    "NotInvertibleError",
-    "OneForm2",
-    "ParamPoly",
-    "ParamPolyRing",
-    "PdfolError",
-    "PlaneVectorField",
-    "PrecisionError",
-    "PrenormalData",
-    "RationalExact",
-    "ReductionPath",
-    "Series1",
-    "Series2",
-    "SingularityReport",
-    "VectorField1",
-    "analyze",
-    "blowup_chain",
-    "blowup_chart1",
-    "blowup_chart2",
-    "bound_bruteforce",
-    "commutes_with_scaling",
-    "compose",
-    "conjugate",
-    "cs_index",
-    "default_order",
-    "dichotomy",
-    "dual",
-    "dual_field",
-    "exp_vf",
-    "gpd_condition",
-    "gpd_detect",
-    "group_commutator",
-    "group_model",
-    "inverse",
-    "log_diffeo",
-    "normalize",
-    "numeric_holonomy",
-    "parse_expr",
-    "parse_prenormal",
-    "pd_holonomy_model",
-    "pd_vs_dicritical",
-    "periodicity",
-    "print_form",
-    "recenter",
-    "report_at",
-    "saddle_subcase",
-    "singular_points_on_divisor",
-    "sz_lambda",
-    "takens_case",
-    "to_fibered_field",
-    "verify_conjugation",
-    "wedge",
-    "__version__",
-]
+# every public name bound above, and no submodule
+__all__ = [name for name, value in list(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

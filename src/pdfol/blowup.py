@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import mpmath
-
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .series import INF, Series1, Series2
@@ -165,22 +163,6 @@ class DivisorPoint:
     corner: bool = False
 
 
-def _eval1(q: Series1, value):
-    ring = q.ring
-    out = ring.coerce(0)
-    for c in reversed(q.as_polynomial_coeffs()):
-        out = ring.add(ring.mul(out, value), c)
-    return out
-
-
-def _eval_numeric(q: Series1, value):
-    out = mpmath.mpc(0)
-    z = mpmath.mpc(value)
-    for c in reversed(q.as_polynomial_coeffs()):
-        out = out * z + q.ring.to_complex(c)
-    return out
-
-
 def roots_series1(q: Series1):
     """Roots with multiplicity of a polynomial restriction.
 
@@ -210,28 +192,16 @@ def roots_series1(q: Series1):
 def singular_points_on_divisor(result: BlowupResult):
     """Singular points of the reduced foliation on the exceptional line,
     in the given chart.  The chart origin of the opposite chart is not
-    visible here; a corner marker stands in for it."""
-    marker = [DivisorPoint(None, 0, corner=True)]
-    omega = result.divisor_first()
-    ring = omega.ring
-    q = -omega.a.restrict_first_zero()
+    visible here; a corner marker stands in for it.  A dicritical
+    component is transverse to the foliation and is refused: the
+    reduction stops there."""
     if result.dicritical:
-        tangential = omega.b.restrict_first_zero()
-        if q.is_zero():
-            pts = [] if tangential.is_zero() else roots_series1(tangential)
-            return pts + marker
-        pts = roots_series1(q)
-        keep = []
-        for pt in pts:
-            if pt.approximate:
-                if abs(_eval_numeric(tangential, pt.location)) <= 1e-8:
-                    keep.append(pt)
-            elif ring.is_zero(_eval1(tangential, ring.coerce(pt.location))):
-                keep.append(pt)
-        return keep + marker
+        raise MathError("%s: the divisor is dicritical; its points are not "
+                        "read" % result.chart)
+    q = -result.divisor_first().a.restrict_first_zero()
     if q.is_zero():
         raise MathError("the divisor consists of singular points only")
-    return roots_series1(q) + marker
+    return roots_series1(q) + [DivisorPoint(None, 0, corner=True)]
 
 
 def singular_at_origin(omega: OneForm2) -> bool:

@@ -17,8 +17,7 @@ from typing import NamedTuple, Optional
 import mpmath
 
 from .errors import InputError, MathError, PrecisionError
-from .rings import (ParamPoly, is_rational, rational, rational_sqrt,
-                    small_rational)
+from .rings import is_rational, rational, rational_sqrt, small_rational
 from .series import Series1
 from .forms import (OneForm2, SingKind, classify_singularity, dual,
                     linear_part, normalized_jordan)
@@ -129,14 +128,8 @@ def saddle_subcase(alpha, tol: float = 1e-9) -> str:
     Exact test for rational alpha: alpha^2 - 16 must be a rational
     square with 0 < (alpha^2-16)/alpha^2 < 1.  Numeric alpha runs the
     same test within tolerance."""
-    q = None
-    if isinstance(alpha, ParamPoly):
-        q = alpha.constant_value()
-        if q is None:
-            raise MathError("cannot split cases on a parameter-dependent alpha")
-    elif is_rational(alpha):
+    if is_rational(alpha):
         q = rational(alpha)
-    if q is not None:
         if q == 4 or q == -4:
             return SUBCASE_PM4
         disc = q * q - 16
@@ -304,7 +297,9 @@ def analyze(omega: OneForm2, method: str = "homological",
     if case != CASE_SADDLE:
         return GPDReport(case=case, p=data.p)
     ring = omega.ring
-    subcase = saddle_subcase(data.alpha, tol=ring.tol)
+    exact = ring.as_rational(data.alpha)  # None for a float alpha
+    subcase = saddle_subcase(data.alpha if exact is None else exact,
+                             tol=ring.tol)
     if subcase != SUBCASE_RESONANT:
         return GPDReport(case=case, p=data.p, subcase=subcase)
     alpha_q = ring.near_rational(data.alpha)

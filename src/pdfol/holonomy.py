@@ -39,10 +39,6 @@ class VectorField1:
     def ring(self):
         return self.f.ring
 
-    @property
-    def variable(self):
-        return self.f.variable
-
     def scale(self, value) -> "VectorField1":
         return VectorField1(self.f.scale(self.ring.coerce(value)))
 

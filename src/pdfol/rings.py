@@ -13,7 +13,7 @@ Three rings are provided:
                             formal parameter; units are the nonzero
                             constants.
 
-Elements are plain values (``mpq``/``Fraction``, ``mpmath.mpc``,
+Elements are plain values (``Fraction``, ``mpmath.mpc``,
 ``ParamPoly``), so client code can also use native operators once values
 have been coerced.
 
@@ -64,29 +64,14 @@ from mpmath.libmp import (fone, from_float, from_man_exp, mpc_abs, mpc_add,
                           round_nearest)
 
 from .errors import InputError, MathError, NotInvertibleError
+from .series import Series1
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rational(num=0, den=None):
-        """Build an exact rational from ints, strings or rational values."""
-        if den is None:
-            return _mpq(num)
-        return _mpq(num, den)
-
-except ImportError:  # gmpy2 is the optional ``fast`` extra
-    def rational(num=0, den=None):
-        if den is None:
-            return Fraction(num)
-        return Fraction(num, den)
-
-
-_RATIONAL_TYPE = type(rational(0))
+rational = Fraction  # rational(3), rational(1, 2), rational("7/3")
 _NUMBERS = (mpmath.mpc, mpmath.mpf, float, complex)  # numeric approximations
 
 
 def is_rational(value) -> bool:
-    return isinstance(value, (int, _RATIONAL_TYPE))
+    return isinstance(value, (int, Fraction))
 
 
 def rational_sqrt(q):
@@ -98,8 +83,7 @@ def rational_sqrt(q):
     q = rational(q)
     if q < 0:
         return None
-    num = int(q.numerator)
-    den = int(q.denominator)
+    num, den = q.numerator, q.denominator
     rn = math.isqrt(num)
     rd = math.isqrt(den)
     if rn * rn != num or rd * rd != den:
@@ -112,7 +96,7 @@ def small_rational(x, tol):
     real x, or None."""
     f = Fraction(float(x)).limit_denominator(1000)
     if abs(float(f) - float(x)) <= 10 * tol * max(1.0, abs(float(x))):
-        return rational(f.numerator, f.denominator)
+        return f
     return None
 
 
@@ -150,10 +134,6 @@ class ParamPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def constant_value(self):
         """The value as a rational if the polynomial is constant, else None."""
         if not self.coeffs:
@@ -179,7 +159,9 @@ class ParamPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("ParamPoly", self.coeffs))
+        # a constant equals its rational value, so it hashes as that value
+        value = self.constant_value()
+        return hash(("ParamPoly", self.coeffs) if value is None else value)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -203,12 +185,6 @@ class ParamPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -236,29 +212,14 @@ class ParamPoly:
         return out
 
     def format(self, name: str) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(format_rational(c))
-            else:
-                mono = name if k == 1 else "%s^%d" % (name, k)
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append("-" + mono)
-                else:
-                    parts.append(format_rational(c) + "*" + mono)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        """The text of ``Series1.format`` with ``name`` as the variable."""
+        return Series1(RationalExact(), name, len(self.coeffs),
+                       dict(enumerate(self.coeffs))).format()
 
     def __repr__(self):
-        return "ParamPoly(%s)" % (self.format("t"),)
+        """``ParamPoly(('0', '1/2'))``: names no parameter, and ``eval``
+        gives the polynomial back."""
+        return "ParamPoly(%r)" % (tuple(map(format_rational, self.coeffs)),)
 
 
 class CoefficientRing:
@@ -488,7 +449,7 @@ class RationalExact(CoefficientRing):
                 key = add_keys(shift, key)
                 acc[key] = get(key, 0) + a * b
         scale *= scale
-        return {key: _RATIONAL_TYPE(v, scale) for key, v in acc.items()
+        return {key: Fraction(v, scale) for key, v in acc.items()
                 if v}, cut
 
     def json_value(self, a):
@@ -838,7 +799,7 @@ class ParamPolyRing(CoefficientRing):
                         out[j] += x * y
         scale *= scale
         # _raw strips trailing zeros; a key whose sum is zero is dropped
-        acc = {key: ParamPoly._raw([_RATIONAL_TYPE(v, scale) for v in cs])
+        acc = {key: ParamPoly._raw([Fraction(v, scale) for v in cs])
                for key, cs in acc.items()}
         return {key: v for key, v in acc.items() if v.coeffs}, cut
 

@@ -10,8 +10,8 @@ that make sense for its own arity:
 - ``Series1`` (names its variable ``variable``) keys x^k by the int k;
   only it has ``reversion`` and ``as_polynomial_coeffs``.
 - ``Series2`` (names its variables ``variables``) keys x^i*y^j by the
-  pair (i, j); only it has ``swap_variables``, ``restrict_first_zero``,
-  ``degree_in`` and ``min_exponent``.
+  pair (i, j); only it has ``swap_variables``, ``restrict_first_zero``
+  and ``min_exponent``.
 
 Mixing a ``Series1`` with a ``Series2`` raises TypeError.
 
@@ -456,11 +456,6 @@ class Series2(_Series):
         """
         ex._check_compat(ey)
         return self._substitute((ex, ey), cache)
-
-    def degree_in(self, index: int):
-        if not self.coeffs:
-            return -1
-        return max(key[index] for key in self.coeffs)
 
     def min_exponent(self, index: int):
         """Smallest exponent of one variable across the support; INF if zero."""

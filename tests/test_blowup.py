@@ -27,6 +27,16 @@ def test_radial_form_is_dicritical_in_both_charts():
     assert r2.form.b.is_zero()
 
 
+@pytest.mark.parametrize("chart", [blowup_chart1, blowup_chart2])
+def test_singular_points_refuse_a_dicritical_divisor(chart):
+    """A dicritical component ends the reduction, so its points are not
+    read: both charts of y dx - x dy raise, naming the chart."""
+    res = chart(OneForm2(poly(4, {(0, 1): 1}), poly(4, {(1, 0): -1})))
+    assert res.dicritical
+    with pytest.raises(MathError, match=res.chart):
+        singular_points_on_divisor(res)
+
+
 def test_invariant_divisor_when_not_dicritical():
     omega = takens_form(1, 3, rational(0))
     r1 = blowup_chart1(omega)

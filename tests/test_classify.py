@@ -117,10 +117,13 @@ def test_saddle_subcase_numeric():
 
 
 def test_saddle_subcase_parameter():
-    ring = ParamPolyRing("b")
-    assert saddle_subcase(ring.coerce(-5)) == SUBCASE_RESONANT
+    """In Q[b] a constant alpha splits as its rational value; an alpha
+    that depends on b is refused before the split, as it is no unit."""
+    rep = analyze(parse_expr("d(y^2+x^4)-5*x^2*(1+b*x)*dy", "param:b",
+                             18).form)
+    assert (rep.subcase, rep.m) == (SUBCASE_RESONANT, 6)
     with pytest.raises(MathError):
-        saddle_subcase(ring.generator)
+        analyze(parse_expr("d(y^2+x^4)+b*x^2*dy", "param:b", 18).form)
 
 
 # ---------------------------------------------------------- alpha condition
@@ -230,9 +233,11 @@ def test_chain_decisive_parametric():
 
 
 def test_homological_epsilon_matches_chain_decisive():
-    res = pd_vs_dicritical(saddle_local(), "homological", 16)
-    assert res.verdict == VERDICT_GPD
-    assert res.epsilon == rat(5934060)
+    local = saddle_local()
+    res = pd_vs_dicritical(local, "homological", 16)
+    chain = pd_vs_dicritical(local, "chain", 16)
+    assert res.verdict == chain.verdict == VERDICT_GPD
+    assert res.epsilon == chain.decisive == rat(5934060)
 
 
 def test_dicritical_family():

@@ -209,6 +209,30 @@ def test_param_poly_format_and_json():
     assert PB.as_rational(PB.generator) is None
 
 
+def test_param_poly_hashes_as_the_values_it_equals():
+    """Equal values hash alike: a constant as its rational, so sets and
+    dict lookups mix constants and rationals."""
+    assert ParamPoly((3,)) == 3 and hash(ParamPoly((3,))) == hash(Fraction(3))
+    assert ParamPoly() == 0 and hash(ParamPoly()) == hash(0)
+    assert len({ParamPoly((3,)), Fraction(3)}) == 1
+    assert {Fraction(3): "v"}.get(ParamPoly((3,))) == "v"
+    half = ParamPoly((rational(1, 2),))
+    assert {rational(1, 2): "v"}.get(half) == "v"
+    assert hash(PB.generator) == hash(ParamPoly((0, 1)))
+
+
+def test_param_poly_repr_names_no_parameter_and_round_trips():
+    assert repr(ParamPoly((0, rational(1, 2)))) == "ParamPoly(('0', '1/2'))"
+    assert repr(ParamPoly()) == "ParamPoly(())"
+    rng = random.Random(17)
+    for _ in range(200):
+        p = random_param_poly(rng)
+        text = repr(p)
+        assert "t" not in text.replace("ParamPoly", "")
+        back = eval(text, {"ParamPoly": ParamPoly})
+        assert back == p and back.coeffs == p.coeffs
+
+
 def test_ring_equality_keys():
     assert RationalExact() == RationalExact()
     assert ComplexApprox() == ComplexApprox()
