@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional
 
 import mpmath
 
-from .errors import InputError, MathError, PrecisionError
-from .rings import is_rational, rational, rational_sqrt, small_rational
+from .errors import InputError, MathError, NotInvertibleError, PrecisionError
+from .rings import is_rational, rational, rational_sqrt
 from .series import Series1
 from .forms import (OneForm2, SingKind, classify_singularity, dual,
                     linear_part, normalized_jordan)
@@ -107,7 +107,13 @@ def parse_prenormal(omega: OneForm2) -> PrenormalData:
     if p < 2:
         raise MathError("shape mismatch: perturbation needs p >= 2, got %d" % p)
     alpha = pure_x[p]
-    inv = ring.invert(alpha)
+    try:
+        inv = ring.invert(alpha)
+    except NotInvertibleError:
+        raise MathError("prenormal shape d(y^2 + x^n) + alpha*x^p*U(x)*dy: "
+                        "alpha, the coefficient of x^%d, is %s; alpha must "
+                        "be a nonzero constant"
+                        % (p, ring.format_coeff(alpha))) from None
     u_coeffs = {i - p: ring.mul(value, inv) for i, value in pure_x.items()}
     U = Series1(ring, omega.variables[0], omega.order - p, u_coeffs,
                 truncated=b.truncated)
@@ -122,29 +128,26 @@ def takens_case(data: PrenormalData) -> str:
     return CASE_SADDLE_NODE
 
 
-def saddle_subcase(alpha, tol: float = 1e-9) -> str:
+def saddle_subcase(alpha, ring) -> str:
     """Split the balanced case on sqrt(alpha^2-16)/alpha in Q cap (-1,1).
 
-    Exact test for rational alpha: alpha^2 - 16 must be a rational
-    square with 0 < (alpha^2-16)/alpha^2 < 1.  Numeric alpha runs the
-    same test within tolerance."""
-    if is_rational(alpha):
-        q = rational(alpha)
+    An alpha with a rational value q takes the exact test: q^2 - 16 must
+    be a positive rational square, which puts (q^2-16)/q^2 in (0, 1).
+    Another alpha takes it numerically, within the ring's tolerance."""
+    q = ring.as_rational(alpha)
+    if q is not None:
         if q == 4 or q == -4:
             return SUBCASE_PM4
         disc = q * q - 16
         if disc > 0 and rational_sqrt(disc) is not None:
-            t = disc / (q * q)
-            if 0 < t < 1:
-                return SUBCASE_RESONANT
+            return SUBCASE_RESONANT
         return SUBCASE_SIMPLE
-    x = mpmath.mpc(alpha)
-    if abs(x - 4) <= 4 * tol or abs(x + 4) <= 4 * tol:
+    x = ring.to_complex(alpha)
+    if ring.negligible(x - 4, 4) or ring.negligible(x + 4, 4):
         return SUBCASE_PM4
     w = mpmath.sqrt(x * x - 16) / x
-    if abs(w.imag) <= tol and -1 < w.real < 1:
-        if small_rational(w.real, tol) is not None:
-            return SUBCASE_RESONANT
+    if -1 < w.real < 1 and ring.near_rational(w) is not None:
+        return SUBCASE_RESONANT
     return SUBCASE_SIMPLE
 
 
@@ -297,9 +300,7 @@ def analyze(omega: OneForm2, method: str = "homological",
     if case != CASE_SADDLE:
         return GPDReport(case=case, p=data.p)
     ring = omega.ring
-    exact = ring.as_rational(data.alpha)  # None for a float alpha
-    subcase = saddle_subcase(data.alpha if exact is None else exact,
-                             tol=ring.tol)
+    subcase = saddle_subcase(data.alpha, ring)
     if subcase != SUBCASE_RESONANT:
         return GPDReport(case=case, p=data.p, subcase=subcase)
     alpha_q = ring.near_rational(data.alpha)

@@ -282,7 +282,11 @@ def _cmd_holonomy(args, out):
         raise InputError("--samples must be comma-separated numbers")
     if not samples:
         raise InputError("--samples must be comma-separated numbers")
-    center = float(_as_fraction(args.center, "--center"))
+    try:
+        center = float(_as_fraction(args.center, "--center"))
+    except OverflowError:
+        raise InputError("--center %s is too large for a float"
+                         % args.center) from None
     for label, text in _inputs(args):
         expr = _parse(args, text)
         if label is not None:

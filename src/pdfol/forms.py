@@ -151,15 +151,17 @@ def eigenvalues(L: Matrix2, ring):
     """Eigenvalue pair and an exactness flag.
 
     Triangular matrices are read off exactly in any ring.  Otherwise the
-    characteristic polynomial is solved: exactly over the rationals when
-    the discriminant is a rational square, numerically in a complex ring,
-    and not at all over a parameter ring (``ring.char_roots``).
+    pair is ``ring.roots`` of the characteristic polynomial, a double root
+    repeated, exact when no root is approximate: when the discriminant
+    is a rational square over Q or Q[b] (else MathError over Q[b]).
     """
     (a, b), (c, d) = L
     if ring.is_zero(b) or ring.is_zero(c):
         return (a, d), True
-    return ring.char_roots(ring.add(a, d),
-                           ring.sub(ring.mul(a, d), ring.mul(b, c)))
+    found = ring.roots([ring.sub(ring.mul(a, d), ring.mul(b, c)),
+                        ring.neg(ring.add(a, d)), ring.one])
+    return (tuple(r for r, k, _ in found for _ in range(k)),
+            not any(approximate for _, _, approximate in found))
 
 
 class SingKind(Enum):

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .rings import rational
@@ -239,7 +237,8 @@ def verify_conjugation(X: FiberedField, transform: Series2, m: int, epsilon,
     to order N with phi = transform: above N exactly when z -> z + phi
     carries X to x d/dx + (m w + epsilon*x^m) d/dw to order N.  W is one
     ``combine`` that reuses nothing of the solve, and so is the bound a
-    float ring compares it with, the same expression over absolute values."""
+    float ring compares it with, the same expression over the absolute
+    values the ring's ``size`` gives."""
     ring = X.ring
     a = _known_to(X.a, "tail", m, N)
     u = _known_to(X.u, "unit", m, N)
@@ -260,8 +259,7 @@ def verify_conjugation(X: FiberedField, transform: Series2, m: int, epsilon,
 
     return ring.residual_valuation(
         identity(lambda c: c, lambda i, j: i + m * (j - 1)),
-        lambda: identity(lambda c: mpmath.mpc(abs(c)),
-                         lambda i, j: i + m * (j + 1)))
+        lambda size: identity(size, lambda i, j: i + m * (j + 1)))
 
 
 def bound_bruteforce(m: int, R: int):

@@ -199,6 +199,8 @@ class _Parser:
             n = int(tok.text)
             acc = value[0] if n else self.scalar(1)
             for _ in range(n - 1):
+                if acc.is_zero():  # stays the same empty series
+                    break
                 acc = acc * value[0]
             value = (acc, self.zero(), self.zero())
         return value

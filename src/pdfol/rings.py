@@ -32,8 +32,8 @@ callers never branch on the ring's type.  The interface:
   element or a numeric approximation of one (an eigenvalue, a root);
   numbers are compared within ``tol`` at ``precision`` bits, which the
   exact rings fix at 1e-9 and 64;
-* solving: ``roots`` of a polynomial and ``char_roots`` of a 2x2
-  characteristic polynomial, exact where the ring can be;
+* solving: ``roots`` of a polynomial, exact where the ring can be;
+  ``forms.eigenvalues`` solves a characteristic polynomial through it;
 * checks: ``series_close`` compares two series and ``residual_valuation``
   reads the valuation of a residual; only ``ComplexApprox`` allows for
   roundoff, and only it builds the bound that takes.
@@ -335,13 +335,6 @@ class CoefficientRing:
                                      maxsteps=100, extraprec=50)
         return [(mpmath.mpc(r), 1, True) for r in found]
 
-    def char_roots(self, tr, det):
-        """The roots of t^2 - tr*t + det and whether they are exact."""
-        rad = mpmath.sqrt(tr * tr - 4 * det)
-        half = self.coerce(rational(1, 2))
-        return (self.mul(self.add(tr, rad), half),
-                self.mul(self.sub(tr, rad), half)), False
-
     def series_close(self, s1, s2) -> bool:
         """Whether two one-variable series agree: equal here."""
         return s1 == s2
@@ -349,7 +342,7 @@ class CoefficientRing:
     def residual_valuation(self, residual, bound):
         """Valuation of a series that vanishes in exact arithmetic.  An
         exact ring reads it off and never calls ``bound``, the function
-        that builds the series over absolute values."""
+        that builds the series with each coefficient c as ``size(c)``."""
         return residual.valuation()
 
     def combine(self, terms, order, degree, add_keys):
@@ -420,16 +413,6 @@ class RationalExact(CoefficientRing):
                     return [(r1, 2, False)]
                 return [(r1, 1, False), (r2, 1, False)]
         return super().roots(coeffs)
-
-    def char_roots(self, tr, det):
-        disc = tr * tr - 4 * det
-        root = rational_sqrt(disc) if disc >= 0 else None
-        if root is None:
-            half = self.to_complex(tr).real / 2
-            rad = mpmath.sqrt(self.to_complex(disc).real) / 2
-            return (mpmath.mpc(half + rad), mpmath.mpc(half - rad)), False
-        two_inv = rational(1, 2)
-        return ((tr + root) * two_inv, (tr - root) * two_inv), True
 
     @staticmethod
     def _scaled(values):
@@ -680,7 +663,7 @@ class ComplexApprox(CoefficientRing):
 
     def residual_valuation(self, residual, bound):
         """Roundoff in a residual coefficient is relative to the same
-        expression over absolute values, ``bound()``, coefficient by
+        expression over absolute values, ``bound(size)``, coefficient by
         coefficient: a coefficient within tol of that bound counts as
         zero.  A coefficient within tol counts as zero whatever the
         bound, so ``bound`` is called only when some coefficient is not."""
@@ -688,7 +671,7 @@ class ComplexApprox(CoefficientRing):
         big = [(key, c) for key, c in residual.coeffs.items() if abs(c) > tol]
         if not big:
             return math.inf
-        bound = bound().coeffs
+        bound = bound(lambda c: mpmath.mpc(abs(c))).coeffs
         zero = self.zero
         return min((residual._degree(key) for key, c in big
                     if abs(c) > tol * max(1.0, abs(bound.get(key, zero)))),
@@ -770,10 +753,6 @@ class ParamPolyRing(CoefficientRing):
             return [(self.mul(coeffs[0], self.coerce(rational(-1) / lead)),
                      1, False)]
         raise MathError("parametric roots are only found for linear factors")
-
-    def char_roots(self, tr, det):
-        raise MathError("cannot solve a full 2x2 eigenproblem over Q[%s]"
-                        % self.param)
 
     @staticmethod
     def _scaled(values):

@@ -4,6 +4,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfol.blowup import blowup_chain, recenter
 from pdfol.classify import (CASE_CUSP, CASE_SADDLE, CASE_SADDLE_NODE,
@@ -18,7 +20,12 @@ from pdfol.parser import parse_expr
 from pdfol.rings import ComplexApprox, ParamPolyRing, rational, rational_sqrt
 from pdfol.series import Series2
 
-from util import QQ, poly, takens_form
+from util import QQ, RATIONALS, poly, saddle_subcase_by_tol, takens_form
+
+CC = ComplexApprox()
+PB = ParamPolyRing("b")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 def rat(n, d=1):
@@ -100,20 +107,60 @@ def test_takens_case_split():
 
 
 def test_saddle_subcase_exact():
-    assert saddle_subcase(rat(4)) == SUBCASE_PM4
-    assert saddle_subcase(rat(-4)) == SUBCASE_PM4
-    assert saddle_subcase(rat(-5)) == SUBCASE_RESONANT
-    assert saddle_subcase(rat(5)) == SUBCASE_RESONANT
-    assert saddle_subcase(rat(-6)) == SUBCASE_SIMPLE
-    assert saddle_subcase(rat(-3)) == SUBCASE_SIMPLE
+    """An alpha with a rational value splits exactly, in Q and as a
+    constant of Q[b]."""
+    for ring in (QQ, PB):
+        for value, want in ((4, SUBCASE_PM4), (-4, SUBCASE_PM4),
+                            (-5, SUBCASE_RESONANT), (5, SUBCASE_RESONANT),
+                            (-6, SUBCASE_SIMPLE), (-3, SUBCASE_SIMPLE)):
+            assert saddle_subcase(ring.coerce(rat(value)), ring) == want
 
 
 def test_saddle_subcase_numeric():
-    assert saddle_subcase(mpmath.mpf(-5.0)) == SUBCASE_RESONANT
-    assert saddle_subcase(mpmath.mpf(4.0)) == SUBCASE_PM4
-    assert saddle_subcase(mpmath.mpf(2.5)) == SUBCASE_SIMPLE
+    assert saddle_subcase(mpmath.mpf(-5.0), CC) == SUBCASE_RESONANT
+    assert saddle_subcase(mpmath.mpf(4.0), CC) == SUBCASE_PM4
+    assert saddle_subcase(mpmath.mpf(2.5), CC) == SUBCASE_SIMPLE
     # -3*sqrt(2) is irrational yet resonant: sqrt(alpha^2-16)/alpha = -1/3
-    assert saddle_subcase(-3 * mpmath.sqrt(2)) == SUBCASE_RESONANT
+    assert saddle_subcase(-3 * mpmath.sqrt(2), CC) == SUBCASE_RESONANT
+    # the tolerance is the ring's: 4 + 1e-7 is +-4 only within 1e-6
+    assert saddle_subcase(4 + 1e-7, CC) == SUBCASE_SIMPLE
+    assert saddle_subcase(4 + 1e-7, ComplexApprox(tol=1e-6)) == SUBCASE_PM4
+
+
+# rational alphas, and the resonant ones 2(u + 1/u), for which
+# alpha^2 - 16 = 4(u - 1/u)^2 is a square
+RESONANT_Q = st.builds(lambda u, s: s * 2 * (u + 1 / u),
+                       RATIONALS.filter(lambda u: u not in (0, 1, -1)),
+                       st.sampled_from((1, -1)))
+# sqrt(alpha^2-16)/alpha = r for alpha = +-4/sqrt(1 - r^2): resonant when
+# r is rational, irrational when 1 - r^2 is no square (r = 1/3: 3*sqrt(2))
+NEAR_RESONANT = st.builds(
+    lambda k, n, s, rel: s * 4 / mpmath.sqrt(1 - mpmath.mpf(k) ** 2 / n ** 2)
+    * (1 + rel), st.integers(1, 30), st.integers(31, 60),
+    st.sampled_from((1, -1)),
+    st.sampled_from((0.0, 1e-14, -1e-12, 1e-10, -1e-9, 1e-8, 1e-6)))
+NEAR_PM4 = st.builds(lambda s, d: s + d, st.sampled_from((4.0, -4.0)),
+                     st.floats(-1e-8, 1e-8))
+
+
+@PROPERTY
+@given(st.one_of(RATIONALS, RESONANT_Q, st.sampled_from((rat(4), rat(-4)))))
+def test_saddle_subcase_agrees_with_tolerance_version_on_rationals(q):
+    want = saddle_subcase_by_tol(q)
+    assert saddle_subcase(q, QQ) == want
+    assert saddle_subcase(PB.coerce(q), PB) == want
+
+
+@PROPERTY
+@given(st.one_of(NEAR_PM4, NEAR_RESONANT,
+                 st.builds(complex, st.floats(-50, 50), st.floats(-1, 1))
+                 .filter(bool),  # the shape has alpha != 0
+                 st.builds(lambda a, i: complex(a) + 1j * i, NEAR_RESONANT,
+                           st.sampled_from((1e-12, -1e-10, 1e-8)))),
+       st.sampled_from((1e-9, 1e-6, 1e-12)))
+def test_saddle_subcase_agrees_with_tolerance_version_on_numbers(alpha, tol):
+    assert saddle_subcase(alpha, ComplexApprox(tol=tol)) == (
+        saddle_subcase_by_tol(alpha, tol))
 
 
 def test_saddle_subcase_parameter():

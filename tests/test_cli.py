@@ -14,6 +14,7 @@ from pdfol.errors import InputError
 from pdfol.parser import parse_expr, print_form
 from pdfol.report import canonical_bytes, encode
 from pdfol.rings import rational
+from pdfol.series import Series2
 
 SADDLE_EXPR = "d(y^2+x^4) + -5*x^2*(1+x)*dy"
 
@@ -90,6 +91,26 @@ def test_decimal_literal_must_be_a_finite_double():
             parse_expr("d(y^2+x^4) + -5*x^2*(1+1e400*x)*dy", mode)
     form = parse_expr("d(y^2+x^4) + -5*x^2*(1+1e300*x)*dy", "float").form
     assert complex(form.b.coefficient(3, 0)) == pytest.approx(-5e300)
+
+
+def test_power_stops_at_the_zero_series(monkeypatch):
+    """x^n is the zero series past the order, and further products keep
+    it: at order 24, x^1000000000 costs the 24 products up to x^25 = 0,
+    and ``*dx`` three more, one per slot of the parser's value."""
+    calls = []
+    mul = Series2.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        if len(calls) > 100:
+            raise AssertionError("x^n is still multiplying")
+        return mul(self, other)
+
+    monkeypatch.setattr(Series2, "__mul__", counted)
+    form = parse_expr("x^1000000000*dx + dy", order=24).form
+    assert len(calls) <= 24 + 3
+    assert form.a.is_zero() and form.a.truncated
+    assert form.a.order == 24
 
 
 def test_unary_sign_chains():
@@ -305,6 +326,23 @@ def test_cli_holonomy_bad_center_is_input_error(center):
                           "--expr", "x*dy - 2*y*dx - x^2*dx"])
     assert code == 2 and out == ""
     assert err.startswith("error[input]: --center must be rational")
+
+
+def test_cli_holonomy_center_beyond_a_float_is_input_error():
+    code, out, err = run(["holonomy", "--numeric", "--samples", "0.05",
+                          "--center", "1e400", "--mode", "float",
+                          "--expr", "x*dy - 2*y*dx - x^2*dx"])
+    assert code == 2 and out == ""
+    assert err.startswith("error[input]: --center ")
+
+
+def test_cli_parameter_dependent_alpha_names_the_shape():
+    code, out, err = run(["classify", "--mode", "param:b",
+                          "--expr", "d(y^2+x^4)+b*x^2*dy"])
+    assert code == 3 and out == ""
+    assert err.startswith("error[math]: prenormal shape ")
+    for part in ("alpha", "x^2", "is b;", "nonzero constant"):
+        assert part in err
 
 
 def test_cli_exit_codes_cover_error_classes():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfol.errors import MathError
 from pdfol.forms import (OneForm2, PlaneVectorField, SingKind, classify_singularity,
@@ -9,7 +11,13 @@ from pdfol.forms import (OneForm2, PlaneVectorField, SingKind, classify_singular
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series2
 
+from util import RATIONALS, SMALL
+
 QQ = RationalExact()
+CC = ComplexApprox()
+PB = ParamPolyRing("b")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 def poly(order, coeffs, ring=QQ, variables=("x", "z")):
@@ -118,11 +126,72 @@ def test_eigenvalues_full_rational_discriminant():
 
 
 def test_eigenvalues_irrational_fall_back_to_floats():
+    """t^2 - t - 1 has no rational root: ``roots`` solves it numerically,
+    in either order."""
     L = ((rational(1), rational(1)), (rational(1), rational(0)))
-    (l1, l2), exact = eigenvalues(L, QQ)
+    pair, exact = eigenvalues(L, QQ)
     assert not exact
+    l1, l2 = sorted(pair, key=lambda r: -r.real)
     assert abs(complex(l1) - 1.6180339887498949) < 1e-12
     assert abs(complex(l2) + 0.6180339887498949) < 1e-12
+
+
+NONZERO = SMALL.filter(bool)
+
+
+def conjugate_diagonal(a, b, p, q, r, s):
+    """P diag(a, b) P^-1 for P = [[p, q], [r, s]]: off-diagonal entries
+    pq(b - a)/det and rs(a - b)/det, so with a != b and p, q, r, s != 0
+    it is not triangular."""
+    det = p * s - q * r
+    return (((p * s * a - q * r * b) / det, p * q * (b - a) / det),
+            (r * s * (a - b) / det, (p * s * b - q * r * a) / det))
+
+
+CONJUGATED = st.tuples(RATIONALS, RATIONALS, NONZERO, NONZERO, NONZERO,
+                       NONZERO).filter(
+    lambda t: t[0] != t[1] and t[2] * t[5] != t[3] * t[4])
+
+
+@PROPERTY
+@given(CONJUGATED)
+def test_eigenvalues_of_a_full_matrix_exact(args):
+    """Over Q, and over Q[b] for a constant matrix, the roots of the
+    characteristic polynomial of P diag(a, b) P^-1 are a and b exactly,
+    the larger first."""
+    a, b = args[:2]
+    M = conjugate_diagonal(*args)
+    assert not any(e == 0 for row in M for e in row)
+    for ring in (QQ, PB):
+        L = tuple(tuple(ring.coerce(e) for e in row) for row in M)
+        pair, exact = eigenvalues(L, ring)
+        assert exact
+        assert pair == (ring.coerce(max(a, b)), ring.coerce(min(a, b)))
+
+
+@PROPERTY
+@given(CONJUGATED)
+def test_eigenvalues_of_a_full_matrix_numeric(args):
+    """In the float ring the roots are numeric, and a and b within tol of
+    the matrix's scale, which bounds the roundoff of its entries; an
+    off-diagonal entry within tol of zero takes the triangular path."""
+    a, b = args[:2]
+    L = tuple(tuple(CC.coerce(e) for e in row)
+              for row in conjugate_diagonal(*args))
+    pair, exact = eigenvalues(L, CC)
+    assert exact == (CC.is_zero(L[0][1]) or CC.is_zero(L[1][0]))
+    assert len(pair) == 2
+    scale = max(1, abs(a), abs(b))
+    got = sorted(pair, key=lambda r: r.real)
+    for r, want in zip(got, sorted((a, b))):
+        assert CC.negligible(r - CC.coerce(want), scale)
+
+
+def test_eigenvalues_of_a_non_constant_matrix_over_q_b():
+    b = PB.generator
+    L = ((PB.one, b), (PB.one, PB.zero))
+    with pytest.raises(MathError, match="only found for linear factors"):
+        eigenvalues(L, PB)
 
 
 def classify(entries, ring=QQ):

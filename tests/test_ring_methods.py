@@ -212,21 +212,35 @@ def test_quadratic_roots(spec_a, spec_b):
 @PROPERTY
 @given(SPECS, SPECS)
 def test_char_roots(spec_a, spec_b):
+    """The characteristic roots of t^2 - (a+b)t + ab, as ``eigenvalues``
+    asks ``roots`` for them: exact over Q, the larger first and a double
+    root once with multiplicity 2; over Q[b] exact for constants, and
+    MathError otherwise; numeric in the float ring, summing to a + b."""
     a, b = spec_value(QQ, spec_a), spec_value(QQ, spec_b)
-    (r1, r2), exact = QQ.char_roots(a + b, a * b)
-    assert exact and (r1, r2) == (max(a, b), min(a, b))
+    found = QQ.roots([a * b, -(a + b), QQ.one])
+    assert found == ([(a, 2, False)] if a == b else
+                     [(max(a, b), 1, False), (min(a, b), 1, False)])
+    qa, qb = a, b
     a, b = spec_value(PB, spec_a), spec_value(PB, spec_b)
-    with pytest.raises(MathError, match="2x2 eigenproblem"):
-        PB.char_roots(PB.add(a, b), PB.mul(a, b))
+    coeffs = [PB.mul(a, b), PB.neg(PB.add(a, b)), PB.one]
+    if PB.as_rational(a) is None or PB.as_rational(b) is None:
+        with pytest.raises(MathError, match="only found for linear factors"):
+            PB.roots(coeffs)
+    else:
+        assert PB.roots(coeffs) == [(PB.coerce(r), k, exact) for r, k, exact
+                                    in QQ.roots([qa * qb, -(qa + qb), 1])]
     a, b = spec_value(CC, spec_a), spec_value(CC, spec_b)
-    (r1, r2), exact = CC.char_roots(CC.add(a, b), CC.mul(a, b))
-    assert not exact
+    found = CC.roots([CC.mul(a, b), CC.neg(CC.add(a, b)), CC.one])
+    assert all(approximate for _, _, approximate in found)
+    (r1, _, _), (r2, _, _) = found
     assert abs(r1 + r2 - (a + b)) <= 1e-12 * max(1, abs(r1), abs(r2))
 
 
 def test_char_roots_irrational_pair_is_numeric():
-    (r1, r2), exact = QQ.char_roots(rational(1), rational(-1))
-    assert not exact
+    """t^2 - t - 1 over Q falls back to numeric roots, in either order."""
+    found = QQ.roots([rational(-1), rational(-1), QQ.one])
+    assert all(approximate for _, _, approximate in found)
+    r1, r2 = sorted((r for r, _, _ in found), key=lambda r: -r.real)
     assert abs(r1 - (1 + mpmath.sqrt(5)) / 2) < 1e-15
     assert abs(r2 - (1 - mpmath.sqrt(5)) / 2) < 1e-15
 
@@ -258,7 +272,7 @@ def test_series_close(specs):
     assert CC.series_close(s, nudged)
 
 
-def _never():
+def _never(size):
     raise AssertionError("the roundoff bound was built where no "
                          "coefficient needs it")
 
@@ -274,11 +288,18 @@ def test_residual_valuation(specs, shift):
             bound = residual.scale(ring.coerce(0))
             want = min((i + j for (i, j), c in residual.coeffs.items()
                         if abs(c) > ring.tol), default=float("inf"))
-            assert ring.residual_valuation(residual, lambda: bound) == want
+            sizes = []
+
+            def zero_bound(size):  # the ring hands over |c| as an element
+                sizes.append(size(ring.coerce(-3 + 4j)))
+                return bound
+
+            assert ring.residual_valuation(residual, zero_bound) == want
+            assert sizes == ([] if want == float("inf") else [ring.coerce(5)])
             loose = Series2(ring, ("x", "z"), 8,
                             {k: 2 * abs(c) / ring.tol
                              for k, c in coeffs.items()})
-            assert ring.residual_valuation(residual, lambda: loose) == (
+            assert ring.residual_valuation(residual, lambda size: loose) == (
                 float("inf"))
             # coefficients within tol pass whatever the bound: it is not built
             top = max((abs(c) for c in residual.coeffs.values()), default=1)
@@ -295,7 +316,7 @@ def test_residual_valuation(specs, shift):
                          if abs(c) > ring.tol * max(
                              1.0, abs(half.get((i, j), ring.zero)))),
                         default=float("inf"))
-            assert ring.residual_valuation(mixed, lambda: loose._like(
+            assert ring.residual_valuation(mixed, lambda size: loose._like(
                 8, half, False)) == eager
         else:
             assert ring.residual_valuation(residual, _never) == (

@@ -3,20 +3,22 @@ property tests, and the reference oracles they compare against: the
 pairwise product, the unit inverse by one dot product per key, the
 fibered field by the dense tail, the conjugacy solve by full products
 and the transport of a tail through a fibered map, shared across test
-modules."""
+modules; and the balanced-case split as it took a tolerance, which the
+ring-driven ``saddle_subcase`` must reproduce."""
 
 import mpmath
 from hypothesis import strategies as st
 
 from pdfol.blowup import blowup_chain, recenter
-from pdfol.classify import gpd_detect, parse_prenormal
+from pdfol.classify import (SUBCASE_PM4, SUBCASE_RESONANT, SUBCASE_SIMPLE,
+                            gpd_detect, parse_prenormal)
 from pdfol.errors import MathError
 from pdfol.forms import OneForm2
 from pdfol.normal_form import (FiberedField, _at_order, _dz, _times,
                                homological_step)
 from pdfol.parser import parse_expr
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
-                         rational)
+                         is_rational, rational, rational_sqrt, small_rational)
 from pdfol.series import Series2
 
 QQ = RationalExact()
@@ -273,3 +275,27 @@ def apply_fibered(m: int, a: Series2, phi: Series2, order: int) -> Series2:
     one = Series2.constant(ring, variables, order, 1)
     flow = psi.scale(ring.coerce(m)) + a_at
     return xphix_at + (one + phiz_at) * flow - z.scale(ring.coerce(m))
+
+
+def saddle_subcase_by_tol(alpha, tol=1e-9):
+    """The balanced-case split on sqrt(alpha^2-16)/alpha in Q cap (-1,1)
+    with an explicit tolerance: an exact test for a rational alpha, the
+    same test within ``tol`` for a number."""
+    if is_rational(alpha):
+        q = rational(alpha)
+        if q == 4 or q == -4:
+            return SUBCASE_PM4
+        disc = q * q - 16
+        if disc > 0 and rational_sqrt(disc) is not None:
+            t = disc / (q * q)
+            if 0 < t < 1:
+                return SUBCASE_RESONANT
+        return SUBCASE_SIMPLE
+    x = mpmath.mpc(alpha)
+    if abs(x - 4) <= 4 * tol or abs(x + 4) <= 4 * tol:
+        return SUBCASE_PM4
+    w = mpmath.sqrt(x * x - 16) / x
+    if abs(w.imag) <= tol and -1 < w.real < 1:
+        if small_rational(w.real, tol) is not None:
+            return SUBCASE_RESONANT
+    return SUBCASE_SIMPLE
