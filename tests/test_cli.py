@@ -4,11 +4,15 @@ and the JSON report document."""
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import pdfol
 from pdfol.cli import main
 from pdfol.errors import InputError
 from pdfol.parser import parse_expr, print_form
@@ -334,6 +338,21 @@ def test_cli_holonomy_center_beyond_a_float_is_input_error():
                           "--expr", "x*dy - 2*y*dx - x^2*dx"])
     assert code == 2 and out == ""
     assert err.startswith("error[input]: --center ")
+
+
+def test_cli_holonomy_overflow_is_one_math_error():
+    """A lift that overflows ends in one error[math] line on the real
+    stderr, with no arithmetic warnings before it, and exit 3."""
+    src = os.path.dirname(os.path.dirname(pdfol.__file__))
+    argv = ["holonomy", "--numeric", "--radius", "1.0", "--samples", "100",
+            "--expr", "dx - 1e300*x^3*dy", "--mode", "float"]
+    done = subprocess.run([sys.executable, "-m", "pdfol.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error[math]: holonomy transport failed at ")
 
 
 def test_cli_parameter_dependent_alpha_names_the_shape():

@@ -1,5 +1,6 @@
 """Formal diffeomorphism algebra, holonomy generators, numeric transport."""
 
+import cmath
 import math
 import os
 import random
@@ -12,11 +13,12 @@ import pytest
 import pdfol
 from pdfol.errors import InputError, MathError
 from pdfol.forms import OneForm2, cs_index, dual
-from pdfol.holonomy import (FormalDiffeo1, VectorField1, commutes_with_scaling,
-                            compose, conjugate, dichotomy, diffeo_close,
-                            exp_vf, group_commutator, group_model, inverse,
-                            is_identity, log_diffeo, numeric_holonomy,
-                            pd_holonomy_model, periodicity, sz_lambda)
+from pdfol.holonomy import (FormalDiffeo1, VectorField1, _dop853,
+                            commutes_with_scaling, compose, conjugate,
+                            dichotomy, diffeo_close, exp_vf, group_commutator,
+                            group_model, inverse, is_identity, log_diffeo,
+                            numeric_holonomy, pd_holonomy_model, periodicity,
+                            sz_lambda)
 from pdfol.parser import parse_expr
 from pdfol.rings import ComplexApprox, rational
 from pdfol.series import Series1, Series2
@@ -221,16 +223,50 @@ def test_numeric_holonomy_rejects_non_finite_input(center, radius, samples):
 
 
 def test_numeric_holonomy_batch_matches_single_samples():
-    """All samples share one step sequence; each end stays where its own
-    solve puts it."""
+    """Each sample is integrated on its own, so a batch is exactly the
+    single-sample runs."""
     omega = parse_expr("x*dy - 3*y*dx - x^3*dx", "float", 20).form
     xs = [0.01, 0.03, 0.05, complex(0.02, 0.02)]
     batch = numeric_holonomy(omega, 0, 1.0, xs)
     assert len(batch) == len(xs)
     for x0, end in zip(xs, batch):
         single, = numeric_holonomy(omega, 0, 1.0, [x0])
-        assert abs(end - single) <= 1e-14, x0
+        assert end == single, x0
     assert numeric_holonomy(omega, 0, 1.0, []) == []
+
+
+@pytest.mark.parametrize("slope, y0", [
+    (lambda t, y: y * y, 4),  # y = 4 / (1 - 4t) blows up at t = 1/4
+    (lambda t, y: complex(math.inf, 0) if t > 0.25 else 1j, 0)],
+    ids=["blow-up", "non-finite"])
+def test_transport_that_cannot_go_on_is_a_math_error(slope, y0):
+    """A solution that blows up or a slope that turns non-finite ends the
+    transport with MathError near where it happens."""
+    with pytest.raises(MathError, match=r"transport failed at t = 0\.2"):
+        _dop853(slope, complex(y0), 1e-14)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("x0", [0.01, 0.05])
+def test_numeric_holonomy_matches_scipy_dop853(m, x0):
+    """scipy's DOP853 at the same tolerances and step bound is the
+    reference for the in-package stepper; m = 2, x0 = 0.05 is the
+    README example.  Both ends also match the formal holonomy."""
+    integrate = pytest.importorskip("scipy.integrate")
+    omega = parse_expr("x*dy - %d*y*dx - x^%d*dx" % (m, m), mode="float").form
+    end, = numeric_holonomy(omega, 0, 1.0, [x0])
+
+    def rhs(t, y):  # dx/dz = x / (m z + x^m) on z = exp(2 pi i t)
+        z = cmath.exp(2j * cmath.pi * t)
+        return [y[0] / (m * z + y[0] ** m) * 2j * cmath.pi * z]
+
+    sol = integrate.solve_ivp(rhs, (0.0, 1.0), [complex(x0)],
+                              method="DOP853", rtol=1e-10,
+                              atol=1e-14 * max(1.0, x0), max_step=0.05)
+    assert sol.success
+    assert abs(end - complex(sol.y[0, -1])) <= 1e-13 * max(1.0, x0)
+    formal = pd_holonomy_model(m, 90).evaluate(x0)
+    assert abs(end - formal) <= 1e-13 * abs(formal)
 
 
 # ------------------------------------------------------------ group model
@@ -336,10 +372,15 @@ def test_commutator_is_identity_at_2_2_26():
 
 
 def test_import_leaves_scipy_unloaded():
-    """Only numeric_holonomy needs scipy, and it imports it when called."""
+    """The package never imports scipy, not even to transport (the
+    README's numeric_holonomy call)."""
     src = os.path.dirname(os.path.dirname(pdfol.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, pdfol; print('scipy' in sys.modules)"
+    code = ("import sys, pdfol\n"
+            "omega = pdfol.parse_expr('x*dy - 2*y*dx - x^2*dx',"
+            " mode='float').form\n"
+            "end, = pdfol.numeric_holonomy(omega, 0, 1.0, [0.05])\n"
+            "print('scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
