@@ -16,7 +16,8 @@ from typing import NamedTuple, Optional
 
 import mpmath
 
-from .errors import InputError, MathError, NotInvertibleError, PrecisionError
+from .errors import (InputError, MathError, NotInvertibleError, PdfolError,
+                     PrecisionError)
 from .rings import is_rational, rational, rational_sqrt
 from .series import Series1
 from .forms import (OneForm2, SingKind, classify_singularity, dual,
@@ -223,6 +224,15 @@ def _recenter_unique(step) -> OneForm2:
     return recenter(step.form, points[0].location)
 
 
+def _jet(omega: OneForm2, degree: int) -> OneForm2:
+    """The terms of omega of total degree <= degree, in their order, with
+    the coefficients, order and truncated flags kept as they are."""
+    def cut(s):
+        return s._like(s.order, {key: c for key, c in s.coeffs.items()
+                                 if key[0] + key[1] <= degree}, s.truncated)
+    return OneForm2(cut(omega.a), cut(omega.b))
+
+
 def pd_vs_dicritical(omega_local: OneForm2, method: str,
                      N: int) -> DichotomyResult:
     """Decide dicritical vs Poincare-Dulac at a candidate point.
@@ -231,6 +241,12 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
     to x dx + (mz + eps*x^m) dz and test eps.  chain: blow up m - 1 more times,
     recentering at the unique smooth-divisor singular point after each,
     and read the Jordan off-diagonal entry of the final linear part.
+
+    The chain runs on jets.  Each blow-up there divides by x^1 (checked:
+    eigenvalues (1, j) become (1, j - 1)) and recentring keeps x-exponents,
+    so a step lowers a term's total degree by at most one, and before a
+    blow-up with r to come, this one included, only degree <= r + 1 can
+    reach the final linear part.  Errors name the blow-up they follow.
     """
     ring = omega_local.ring
     kind = classify_singularity(linear_part(dual(omega_local)), ring)
@@ -249,13 +265,20 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
                                epsilon=res.epsilon, normalization=res)
     if method == "chain":
         current = omega_local
-        for _ in range(m - 1):
-            step = blowup_chart1(current)
-            if step.dicritical:
-                raise MathError("unexpected dicritical blow-up inside "
-                                "the chain")
-            current = _recenter_unique(step)
-        jordan = normalized_jordan(linear_part(dual(current)), ring)
+        try:
+            for i in range(1, m):
+                step = blowup_chart1(_jet(current, m - i + 1))
+                if step.dicritical:
+                    raise MathError("unexpected dicritical blow-up inside "
+                                    "the chain")
+                if step.k_divided != 1:
+                    raise MathError("the blow-up divided by x^%d, not x^1"
+                                    % step.k_divided)
+                current = _recenter_unique(step)
+            jordan = normalized_jordan(linear_part(dual(current)), ring)
+        except PdfolError as exc:
+            exc.args = ("chain blow-up %d of %d: %s" % (i, m - 1, exc),)
+            raise
         decisive = jordan[1][0]
         if not ring.is_zero(decisive):
             return DichotomyResult(VERDICT_GPD, method, m, N,

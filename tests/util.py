@@ -3,22 +3,27 @@ property tests, and the reference oracles they compare against: the
 pairwise product, the unit inverse by one dot product per key, the
 fibered field by the dense tail, the conjugacy solve by full products
 and the transport of a tail through a fibered map, shared across test
-modules; and the balanced-case split as it took a tolerance, which the
-ring-driven ``saddle_subcase`` must reproduce."""
+modules; the balanced-case split as it took a tolerance, which the
+ring-driven ``saddle_subcase`` must reproduce; and the chain method on
+the whole form, which the chain on jets must reproduce."""
 
 import mpmath
 from hypothesis import strategies as st
 
-from pdfol.blowup import blowup_chain, recenter
+from pdfol.blowup import blowup_chain, blowup_chart1, recenter
 from pdfol.classify import (SUBCASE_PM4, SUBCASE_RESONANT, SUBCASE_SIMPLE,
-                            gpd_detect, parse_prenormal)
+                            VERDICT_GPD, DichotomyResult, _recenter_unique,
+                            gpd_condition, gpd_detect, parse_prenormal,
+                            verdict_dicritical)
 from pdfol.errors import MathError
-from pdfol.forms import OneForm2
+from pdfol.forms import (OneForm2, SingKind, classify_singularity, dual,
+                         linear_part, normalized_jordan)
 from pdfol.normal_form import (FiberedField, _at_order, _dz, _times,
                                homological_step)
 from pdfol.parser import parse_expr
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
-                         is_rational, rational, rational_sqrt, small_rational)
+                         format_rational, is_rational, rational, rational_sqrt,
+                         small_rational)
 from pdfol.series import Series2
 
 QQ = RationalExact()
@@ -62,6 +67,18 @@ def fibered_model_form(m, a_coeff, order=24, ring=QQ):
         a[(m, 0)] = ring.neg(ring.coerce(a_coeff))
     return OneForm2(Series2(ring, ("x", "z"), order, a),
                     Series2(ring, ("x", "z"), order, {(1, 0): 1}))
+
+
+def saddle_text(p, m, us, mode):
+    """The prenormal form with unit 1 + sum u_k x^k; in ``param:b`` the
+    x term carries b, so epsilon there is a polynomial in b."""
+    alpha = gpd_condition(p, m)[0]
+    param = "b*" if mode.startswith("param") else ""
+    unit = "".join(" + (%s)*%sx^%d" % (format_rational(u),
+                                        param if k == 1 else "", k)
+                   for k, u in enumerate(us, 1) if u)
+    return "d(y^2+x^%d) + (%s)*x^%d*(1%s)*dy" % (2 * p, format_rational(alpha),
+                                                 p, unit)
 
 
 def local_form(text, mode, order):
@@ -299,3 +316,28 @@ def saddle_subcase_by_tol(alpha, tol=1e-9):
         if small_rational(w.real, tol) is not None:
             return SUBCASE_RESONANT
     return SUBCASE_SIMPLE
+
+
+def chain_on_whole_form(omega_local, N):
+    """``pd_vs_dicritical(omega_local, "chain", N)`` with every blow-up
+    and recentring made on the whole form, as the chain ran before it
+    cut the form to the jet the remaining blow-ups read."""
+    ring = omega_local.ring
+    kind = classify_singularity(linear_part(dual(omega_local)), ring)
+    if kind.kind is not SingKind.POINCARE_DULAC_CANDIDATE:
+        raise MathError("linear part is not a Poincare-Dulac candidate "
+                        "(got %s)" % kind.kind.value)
+    m = kind.m
+    current = omega_local
+    for _ in range(m - 1):
+        step = blowup_chart1(current)
+        if step.dicritical:
+            raise MathError("unexpected dicritical blow-up inside "
+                            "the chain")
+        current = _recenter_unique(step)
+    jordan = normalized_jordan(linear_part(dual(current)), ring)
+    decisive = jordan[1][0]
+    if not ring.is_zero(decisive):
+        return DichotomyResult(VERDICT_GPD, "chain", m, N, decisive=decisive)
+    return DichotomyResult(verdict_dicritical(N), "chain", m, N,
+                           decisive=decisive)
