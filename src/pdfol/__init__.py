@@ -12,19 +12,18 @@ from .rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
                     rational, rational_sqrt)
 from .series import Series1, Series2
 from .forms import (OneForm2, PlaneVectorField, SingularityReport, cs_index,
-                    dual, dual_field, report_at, wedge)
+                    dual, report_at)
 from .blowup import (BlowupResult, ReductionPath, blowup_chain, blowup_chart1,
                      blowup_chart2, recenter, singular_points_on_divisor)
 from .classify import (GPDReport, PrenormalData, analyze, default_order,
                        gpd_condition, gpd_detect, parse_prenormal,
                        pd_vs_dicritical, saddle_subcase, takens_case)
-from .normal_form import (FiberedField, NormalizationResult, bound_bruteforce,
-                          normalize, to_fibered_field, verify_conjugation)
+from .normal_form import (FiberedField, NormalizationResult, normalize,
+                          to_fibered_field, verify_conjugation)
 from .holonomy import (FormalDiffeo1, HolonomyGroupModel, VectorField1,
-                       commutes_with_scaling, compose, conjugate, dichotomy,
-                       exp_vf, group_commutator, group_model, inverse,
-                       log_diffeo, numeric_holonomy, pd_holonomy_model,
-                       periodicity, sz_lambda)
+                       compose, dichotomy, exp_vf, group_commutator,
+                       group_model, inverse, log_diffeo, numeric_holonomy,
+                       pd_holonomy_model, periodicity, sz_lambda)
 from .parser import InputExpression, parse_expr, print_form
 
 # every public name bound above, and no submodule

@@ -89,7 +89,7 @@ def _chart1(omega: OneForm2, zname: str, chart: str) -> BlowupResult:
     a_new = a1 + zb1
     k = _divisor_power(a_new, xb1, chart)
     form = OneForm2(a_new.divide_monomial((k, 0)), xb1.divide_monomial((k, 0)))
-    dicritical = not form.b.restrict_first_zero().is_zero()
+    dicritical = not form.divisor_invariant()
     if _exact(form) and k != nu + (1 if dicritical else 0):
         raise MathError("inconsistent divisor multiplicity in blow-up")
     return BlowupResult(form, chart, nu, k, dicritical, 0)

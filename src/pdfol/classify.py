@@ -302,7 +302,7 @@ class GPDReport:
     verdict: str = VERDICT_NA
     normalization: object = None
 
-    def json(self, ring=None):
+    def json(self, ring):
         return {
             "case": self.case,
             "subcase": self.subcase,
@@ -310,7 +310,7 @@ class GPDReport:
             "z2": encode(self.z2),
             "m": self.m,
             "gpd_alpha_check": self.gpd_alpha_check,
-            "epsilon": None if ring is None else encode(self.epsilon, ring),
+            "epsilon": encode(self.epsilon, ring),
             "verdict": self.verdict,
         }
 

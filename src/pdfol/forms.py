@@ -97,19 +97,6 @@ def dual(omega: OneForm2) -> PlaneVectorField:
     return PlaneVectorField(omega.b, -omega.a)
 
 
-def dual_field(field: PlaneVectorField) -> OneForm2:
-    """The 1-form (p2, -p1) annihilated by the field; applying the
-    convention twice rotates (a, b) to (-a, -b)."""
-    return OneForm2(field.p2, -field.p1)
-
-
-def wedge(omega: OneForm2, eta: OneForm2) -> Series2:
-    """Coefficient of d(v1)^d(v2) in omega wedge eta."""
-    if omega.variables != eta.variables:
-        raise ValueError("wedge of forms over different variables")
-    return omega.a * eta.b - omega.b * eta.a
-
-
 Matrix2 = tuple  # ((e00, e01), (e10, e11)) of ring elements
 
 
@@ -131,10 +118,6 @@ def matrix_is_zero(L: Matrix2, ring) -> bool:
 
 def matrix_scale(L: Matrix2, value, ring) -> Matrix2:
     return tuple(tuple(ring.mul(e, value) for e in row) for row in L)
-
-
-def matrix_eq(L: Matrix2, M: Matrix2, ring) -> bool:
-    return all(ring.eq(a, b) for ra, rb in zip(L, M) for a, b in zip(ra, rb))
 
 
 def normalized_jordan(L: Matrix2, ring) -> Matrix2:

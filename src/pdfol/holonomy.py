@@ -4,10 +4,9 @@ The projective holonomy of the divisor component carrying the
 Poincare-Dulac point is generated by mu*exp(Y) and (lambda/mu)*exp(-Y)
 where Y is a vector field vanishing to order m + 1 and mu^m = 1,
 lambda^p = 1.  This module supplies the formal side (Lie-series
-exponential and logarithm, composition, inversion, conjugation, the
-closed-form model generator) and a numeric oracle that transports a
-transversal coordinate around a divisor loop by integrating the
-leaf-lift ODE.
+exponential and logarithm, composition, inversion, the closed-form
+model generator) and a numeric oracle that transports a transversal
+coordinate around a divisor loop by integrating the leaf-lift ODE.
 
 Loop convention: the divisor is the zero set of the first variable, the
 loop runs in the second variable, and the first coordinate is
@@ -205,11 +204,6 @@ def compose(outer: FormalDiffeo1, inner: FormalDiffeo1) -> FormalDiffeo1:
 
 def inverse(h: FormalDiffeo1) -> FormalDiffeo1:
     return FormalDiffeo1.from_series(h.series().reversion())
-
-
-def conjugate(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
-    """h o g o h^{-1}."""
-    return compose(compose(h, g), inverse(h))
 
 
 def group_commutator(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
@@ -440,19 +434,6 @@ def sz_lambda(p: int, m: int):
     integer = large.denominator == 1
     assert integer == (m % p == 0)
     return small, large, integer
-
-
-def commutes_with_scaling(h: FormalDiffeo1, alpha, N: int = None) -> bool:
-    """alpha*h(x) == h(alpha*x) coefficientwise within tolerance."""
-    ring = h.ring
-    alpha = ring.coerce(alpha)
-    s = h.series()
-    if N is not None:
-        s = s.truncate(N)
-    left = s.scale(alpha)
-    scaled_x = Series1.monomial(ring, h.variable, s.order, 1, alpha)
-    right = s.compose(scaled_x)
-    return ring.series_close(left, right)
 
 
 def periodicity(h: FormalDiffeo1, q: int, N: int = None) -> bool:

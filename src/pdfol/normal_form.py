@@ -260,22 +260,3 @@ def verify_conjugation(X: FiberedField, transform: Series2, m: int, epsilon,
     return ring.residual_valuation(
         identity(lambda c: c, lambda i, j: i + m * (j - 1)),
         lambda size: identity(size, lambda i, j: i + m * (j + 1)))
-
-
-def bound_bruteforce(m: int, R: int):
-    """max of j/(i + m(j-1)) over i, j >= 0 with m+1 <= i+j <= R.
-
-    Every divisor in the scan region is a positive integer, so the
-    comparison is exact integer cross-multiplication."""
-    if m < 2 or R < m + 1:
-        raise MathError("need m >= 2 and R >= m + 1")
-    best_n, best_d = 0, 1
-    for k in range(m + 1, R + 1):
-        for j in range(k + 1):
-            i = k - j
-            div = i + m * (j - 1)
-            if div <= 0:
-                raise MathError("nonpositive divisor in scan region")
-            if j * best_d > best_n * div:
-                best_n, best_d = j, div
-    return rational(best_n, best_d)

@@ -14,7 +14,6 @@ import mpmath
 from .errors import InputError
 
 SCHEMA_VERSION = "1"
-TOOL_NAME = "pdfol"
 
 
 def encode(value, ring=None):

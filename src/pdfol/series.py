@@ -504,10 +504,10 @@ class Series1(_Series):
 
     derive = partialmethod(_Series.derive, 0)
 
-    def compose(self, inner: "Series1", cache=None) -> "Series1":
+    def compose(self, inner: "Series1") -> "Series1":
         """self(inner); inner must have positive valuation unless self is
         an exact polynomial."""
-        return self._substitute((inner,), cache)
+        return self._substitute((inner,), None)
 
     def reversion(self) -> "Series1":
         """Compositional inverse of a series with h(0) = 0, h'(0) a unit.

@@ -15,21 +15,19 @@ from pdfol.blowup import blowup_chain, blowup_chart1, blowup_chart2, \
     recenter, singular_points_on_divisor
 from pdfol.classify import gpd_condition, gpd_detect, pd_vs_dicritical
 from pdfol.cli import main
-from pdfol.forms import cs_index, dual, linear_part, matrix_eq, \
-    normalized_jordan
-from pdfol.holonomy import (VectorField1, commutes_with_scaling, dichotomy,
-                            exp_vf, group_commutator, group_model,
-                            is_identity, log_diffeo, numeric_holonomy,
-                            pd_holonomy_model, sz_lambda, FormalDiffeo1)
-from pdfol.normal_form import (FiberedField, bound_bruteforce, normalize,
-                               verify_conjugation)
+from pdfol.forms import cs_index, dual, linear_part, normalized_jordan
+from pdfol.holonomy import (VectorField1, dichotomy, exp_vf, group_commutator,
+                            group_model, is_identity, log_diffeo,
+                            numeric_holonomy, pd_holonomy_model, sz_lambda,
+                            FormalDiffeo1)
+from pdfol.normal_form import FiberedField, normalize, verify_conjugation
 from pdfol.parser import parse_expr, print_form
 from pdfol.rings import ComplexApprox, ParamPolyRing, rational, rational_sqrt
 from pdfol.series import Series1, Series2
 
 from test_cli import CORPUS, REPORT_SCHEMA
-from util import (QQ, apply_fibered, expected_final, fibered_model_form,
-                  takens_form)
+from util import (QQ, apply_fibered, bound_bruteforce, commutes_with_scaling,
+                  expected_final, fibered_model_form, matrix_eq, takens_form)
 
 CC = ComplexApprox()
 

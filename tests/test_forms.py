@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from pdfol.errors import MathError
 from pdfol.forms import (OneForm2, PlaneVectorField, SingKind, classify_singularity,
-                         cs_index, dual, dual_field, eigenvalues, linear_part,
-                         matrix_eq, report_at, wedge)
+                         cs_index, dual, eigenvalues, linear_part, report_at)
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series2
 
-from util import RATIONALS, SMALL
+from util import RATIONALS, SMALL, dual_field, matrix_eq, wedge
 
 QQ = RationalExact()
 CC = ComplexApprox()

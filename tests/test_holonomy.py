@@ -13,8 +13,7 @@ import pytest
 import pdfol
 from pdfol.errors import InputError, MathError
 from pdfol.forms import OneForm2, cs_index, dual
-from pdfol.holonomy import (FormalDiffeo1, VectorField1, _dop853,
-                            commutes_with_scaling, compose, conjugate,
+from pdfol.holonomy import (FormalDiffeo1, VectorField1, _dop853, compose,
                             dichotomy, diffeo_close, exp_vf, group_commutator,
                             group_model, inverse, is_identity, log_diffeo,
                             numeric_holonomy, pd_holonomy_model, periodicity,
@@ -23,7 +22,7 @@ from pdfol.parser import parse_expr
 from pdfol.rings import ComplexApprox, rational
 from pdfol.series import Series1, Series2
 
-from util import QQ, fibered_model_form
+from util import QQ, commutes_with_scaling, conjugate, fibered_model_form
 
 CC = ComplexApprox()
 

@@ -5,15 +5,14 @@ import pytest
 
 from pdfol.blowup import recenter
 from pdfol.errors import MathError, PrecisionError
-from pdfol.normal_form import (FiberedField, bound_bruteforce,
-                               homological_step, normalize,
+from pdfol.normal_form import (FiberedField, homological_step, normalize,
                                to_fibered_field, verify_conjugation)
 from pdfol.rings import (ComplexApprox, ParamPolyRing, RationalExact,
                          rational)
 from pdfol.series import Series2
-from util import (apply_fibered, expected_final, fibered_model_form,
-                  invert_fiber, local_form, normalize_by_products, raw,
-                  to_fibered_field_dense, ulps)
+from util import (apply_fibered, bound_bruteforce, expected_final,
+                  fibered_model_form, invert_fiber, local_form,
+                  normalize_by_products, raw, to_fibered_field_dense, ulps)
 
 QQ = RationalExact()
 CC = ComplexApprox()

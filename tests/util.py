@@ -4,8 +4,11 @@ pairwise product, the unit inverse by one dot product per key, the
 fibered field by the dense tail, the conjugacy solve by full products
 and the transport of a tail through a fibered map, shared across test
 modules; the balanced-case split as it took a tolerance, which the
-ring-driven ``saddle_subcase`` must reproduce; and the chain method on
-the whole form, which the chain on jets must reproduce."""
+ring-driven ``saddle_subcase`` must reproduce; the chain method on the
+whole form, which the chain on jets must reproduce; and the small
+oracles that no command runs: the form of a field, the wedge product,
+matrix equality, conjugation, commuting with a scaling and the
+brute-force normal-form bound."""
 
 import mpmath
 from hypothesis import strategies as st
@@ -16,15 +19,17 @@ from pdfol.classify import (SUBCASE_PM4, SUBCASE_RESONANT, SUBCASE_SIMPLE,
                             gpd_condition, gpd_detect, parse_prenormal,
                             verdict_dicritical)
 from pdfol.errors import MathError
-from pdfol.forms import (OneForm2, SingKind, classify_singularity, dual,
-                         linear_part, normalized_jordan)
+from pdfol.forms import (Matrix2, OneForm2, PlaneVectorField, SingKind,
+                         classify_singularity, dual, linear_part,
+                         normalized_jordan)
+from pdfol.holonomy import FormalDiffeo1, compose, inverse
 from pdfol.normal_form import (FiberedField, _at_order, _dz, _times,
                                homological_step)
 from pdfol.parser import parse_expr
 from pdfol.rings import (ComplexApprox, ParamPoly, ParamPolyRing, RationalExact,
                          format_rational, is_rational, rational, rational_sqrt,
                          small_rational)
-from pdfol.series import Series2
+from pdfol.series import Series1, Series2
 
 QQ = RationalExact()
 
@@ -341,3 +346,57 @@ def chain_on_whole_form(omega_local, N):
         return DichotomyResult(VERDICT_GPD, "chain", m, N, decisive=decisive)
     return DichotomyResult(verdict_dicritical(N), "chain", m, N,
                            decisive=decisive)
+
+
+def dual_field(field: PlaneVectorField) -> OneForm2:
+    """The 1-form (p2, -p1) annihilated by the field; applying the
+    convention twice rotates (a, b) to (-a, -b)."""
+    return OneForm2(field.p2, -field.p1)
+
+
+def wedge(omega: OneForm2, eta: OneForm2) -> Series2:
+    """Coefficient of d(v1)^d(v2) in omega wedge eta."""
+    if omega.variables != eta.variables:
+        raise ValueError("wedge of forms over different variables")
+    return omega.a * eta.b - omega.b * eta.a
+
+
+def matrix_eq(L: Matrix2, M: Matrix2, ring) -> bool:
+    return all(ring.eq(a, b) for ra, rb in zip(L, M) for a, b in zip(ra, rb))
+
+
+def conjugate(g: FormalDiffeo1, h: FormalDiffeo1) -> FormalDiffeo1:
+    """h o g o h^{-1}."""
+    return compose(compose(h, g), inverse(h))
+
+
+def commutes_with_scaling(h: FormalDiffeo1, alpha, N: int = None) -> bool:
+    """alpha*h(x) == h(alpha*x) coefficientwise within tolerance."""
+    ring = h.ring
+    alpha = ring.coerce(alpha)
+    s = h.series()
+    if N is not None:
+        s = s.truncate(N)
+    left = s.scale(alpha)
+    scaled_x = Series1.monomial(ring, h.variable, s.order, 1, alpha)
+    right = s.compose(scaled_x)
+    return ring.series_close(left, right)
+
+
+def bound_bruteforce(m: int, R: int):
+    """max of j/(i + m(j-1)) over i, j >= 0 with m+1 <= i+j <= R.
+
+    Every divisor in the scan region is a positive integer, so the
+    comparison is exact integer cross-multiplication."""
+    if m < 2 or R < m + 1:
+        raise MathError("need m >= 2 and R >= m + 1")
+    best_n, best_d = 0, 1
+    for k in range(m + 1, R + 1):
+        for j in range(k + 1):
+            i = k - j
+            div = i + m * (j - 1)
+            if div <= 0:
+                raise MathError("nonpositive divisor in scan region")
+            if j * best_d > best_n * div:
+                best_n, best_d = j, div
+    return rational(best_n, best_d)
