@@ -334,8 +334,8 @@ def _report_document(args, text):
         }
         points = singular_points_on_divisor(path.steps[-1])
         canonical["singular_points"] = [
-            report_at(recenter(path.final, pt.location), pt.location,
-                      chart="C1").json(ring)
+            report_at(recenter(path.final, pt.location),
+                      pt.location).json(ring)
             for pt in points if not pt.corner]
         result = classification.normalization
         canonical["normal_form"] = {

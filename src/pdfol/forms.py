@@ -264,9 +264,9 @@ def cs_index(field: PlaneVectorField):
 
 @dataclass(frozen=True)
 class SingularityReport:
-    """One singular point of a reduced form, as reported to the user."""
+    """One singular point of a reduced form, as reported to the user.
+    Every reported point lies in the exceptional chart C1."""
 
-    chart: str
     location: object            # coordinate along the divisor (ring element)
     linear: Matrix2
     eigenvalues: tuple
@@ -276,7 +276,7 @@ class SingularityReport:
 
     def json(self, ring):
         return {
-            "chart": self.chart,
+            "chart": "C1",
             "corner": False,    # the corner is never a reported point
             "location": encode(self.location, ring),
             "linear_part": encode(self.linear, ring),
@@ -287,7 +287,7 @@ class SingularityReport:
         }
 
 
-def report_at(local: OneForm2, z0, chart: str) -> SingularityReport:
+def report_at(local: OneForm2, z0) -> SingularityReport:
     """Classify the singular point at the origin of ``local``, the chart
     form already recentred at the divisor point (0, z0); z0 is reported
     as its location."""
@@ -296,6 +296,6 @@ def report_at(local: OneForm2, z0, chart: str) -> SingularityReport:
     L = linear_part(X)
     eigs, exact = eigenvalues(L, ring)
     kind = classify_singularity(L, ring)
-    return SingularityReport(chart=chart, location=ring.coerce(z0), linear=L,
+    return SingularityReport(location=ring.coerce(z0), linear=L,
                              eigenvalues=eigs, eigen_exact=exact, type=kind,
                              cs=cs_index(X))

@@ -17,6 +17,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import mpmath
 
@@ -86,10 +87,6 @@ class FormalDiffeo1:
         return cls(lam, s - x.scale(lam))
 
     @classmethod
-    def identity(cls, ring, variable: str, order: int) -> "FormalDiffeo1":
-        return cls(ring.coerce(1), Series1.zero(ring, variable, order))
-
-    @classmethod
     def linear(cls, ring, variable: str, order: int,
                value) -> "FormalDiffeo1":
         return cls(ring.coerce(value), Series1.zero(ring, variable, order))
@@ -108,75 +105,27 @@ class FormalDiffeo1:
         return self.series().format()
 
 
-def _apply_vf(f: Series1, g: Series1, order: int) -> Series1:
-    """f * g' with the order restored to ``order``.
+def _lie_series(source: Series1, N: int, log: bool = False):
+    """The Lie series of Y = f d/dx to order N, one degree at a time.
 
-    The generic product rule would cap the order at order - 1 because of
-    the derivative, but val(f) >= 2 shifts every term of g' up by at
-    least 2, so all coefficients of f*g' up to ``order`` are determined
-    by coefficients of g up to ``order``."""
-    der = g.derive()
-    der = Series1._raw(der.ring, der.variable, order, dict(der.coeffs),
-                       der.truncated)
-    prod = f * der
-    acc = {k: c for k, c in prod.coeffs.items() if k <= order}
-    return Series1._raw(f.ring, f.variable, order,
-                        acc, f.truncated or g.truncated)
-
-
-def exp_vf(Y: VectorField1, N: int) -> FormalDiffeo1:
-    """Time-1 flow of Y as the Lie series sum_k Y^k(id)/k!.
-
-    Each application of Y raises the valuation, so the sum is finite at
-    any truncation order."""
-    flow, = _lie_flows(Y, N, False)
-    return flow
-
-
-def _lie_flows(Y: VectorField1, N: int, both: bool):
-    """[exp(Y)], or [exp(Y), exp(-Y)] when ``both``, from one Lie series.
-
-    The k-th term of -Y is (-1)^k times that of Y, bit for bit: negation
-    commutes with every rounded product, sum, derivative and scaling.  So
-    exp(-Y) adds the even terms and subtracts the odd ones."""
-    f = Y.f
-    ring = f.ring
-    if f.truncated and f.order < N:
-        raise PrecisionError("flow field known only to order %d < N = %d"
-                             % (f.order, N))
-    x = Series1.monomial(ring, f.variable, N, 1)
-    plus = minus = term = x
-    k = 1
-    while not term.is_zero() and k <= N:
-        term = _apply_vf(f, term, N).scale(ring.coerce(rational(1, k)))
-        plus = plus + term
-        if both:
-            minus = minus - term if k % 2 else minus + term
-        k += 1
-    one = ring.coerce(1)
-    return [FormalDiffeo1(one, total - x)
-            for total in ((plus, minus) if both else (plus,))]
-
-
-def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
-    """The vector field Y = f d/dx with exp_vf(Y, N) = h to order N.
-
-    Only tangent-to-identity maps have a logarithm in this chart.  The
-    Lie series exp(Y)(x) = x + sum_k T_k, T_1 = f, T_k = f*T_{k-1}'/k, is
-    evaluated one degree at a time: val(f) >= 2, so [x^d] T_k for k >= 2
-    needs f only below degree d, and f_d = h_d - sum_{k>=2} [x^d] T_k."""
-    ring = h.ring
-    if not ring.eq(h.multiplier, ring.coerce(1)):
-        raise MathError("logarithm needs multiplier 1")
-    if h.tail.truncated and h.tail.order < N:
-        raise PrecisionError("diffeomorphism known only to order %d < N = %d"
-                             % (h.tail.order, N))
-    target = h.tail.truncate(N)
-    f = {}
+    exp(Y)(x) = x + sum_k T_k with T_1 = f, T_k = f*T_{k-1}'/k.  Since
+    val(f) >= 2, [x^d] T_k for k >= 2 needs f only below degree d.  f_d
+    is ``source``'s coefficient, or with ``log`` the one that makes
+    exp(Y) - x equal ``source``: f_d = source_d - sum_{k>=2} [x^d] T_k.
+    Returns f, exp(Y) - x and exp(-Y) - x.  The k-th term of -Y is
+    (-1)^k times that of Y, bit for bit: negation commutes with every
+    rounded product, sum and scaling.  So exp(-Y) - x, the alternating
+    sum, is what the recursion gives for -Y."""
+    ring = source.ring
+    if source.truncated and source.order < N:
+        raise PrecisionError("%s known only to order %d < N = %d"
+                             % ("diffeomorphism" if log else "flow field",
+                                source.order, N))
+    f, plus, minus = {}, {}, {}
     # slopes[k][j] = j * [x^j] T_k, so [x^(j-1)] T_k' = slopes[k][j]
-    slopes = [None] + [{} for _ in range(target.order)]
-    for d in range(2, target.order + 1):
-        total = None
+    slopes = [None] + [{} for _ in range(N)]
+    for d in range(2, N + 1):
+        terms = []  # (k, [x^d] T_k) for k >= 2
         for k in range(2, d):
             lower = slopes[k - 1]
             if not lower:  # T_(k-1) vanishes below degree d, so T_k does
@@ -187,15 +136,50 @@ def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
             if acc is None:
                 continue
             acc = ring.mul(acc, ring.coerce(rational(1, k)))
-            total = acc if total is None else ring.add(total, acc)
+            if ring.is_zero(acc):
+                continue
             slopes[k][d] = ring.mul(acc, ring.coerce(d))
-        c = target.coefficient(d)
-        if total is not None:
-            c = ring.sub(c, total)
+            terms.append((k, acc))
+        c = source.coeffs.get(d)
+        if c is None:
+            if not terms:
+                continue
+            c = ring.zero
+        if log and terms:
+            c = ring.sub(c, reduce(ring.add, (t for _, t in terms)))
         if not ring.is_zero(c):
             f[d] = c
             slopes[1][d] = ring.mul(c, ring.coerce(d))
-    return VectorField1(Series1._raw(ring, h.variable, N, f, False))
+        # +-f_d first, then each term in turn, as a product loop adds them
+        plus_d = reduce(ring.add, (t for _, t in terms), c)
+        minus_d = reduce(ring.add, (t if k % 2 == 0 else ring.neg(t)
+                                    for k, t in terms), ring.neg(c))
+        for tail, value in ((plus, plus_d), (minus, minus_d)):
+            if not ring.is_zero(value):
+                tail[d] = value
+    return [Series1._raw(ring, source.variable, N, coeffs, truncated)
+            for coeffs, truncated in ((f, False), (plus, source.truncated),
+                                      (minus, source.truncated))]
+
+
+def exp_vf(Y: VectorField1, N: int) -> FormalDiffeo1:
+    """Time-1 flow of Y as the Lie series sum_k Y^k(id)/k!.
+
+    Each application of Y raises the valuation, so the sum is finite at
+    any truncation order."""
+    _, plus, _ = _lie_series(Y.f, N)
+    return FormalDiffeo1(Y.ring.coerce(1), plus)
+
+
+def log_diffeo(h: FormalDiffeo1, N: int) -> VectorField1:
+    """The vector field Y = f d/dx with exp_vf(Y, N) = h to order N.
+
+    Only tangent-to-identity maps have a logarithm in this chart."""
+    ring = h.ring
+    if not ring.eq(h.multiplier, ring.coerce(1)):
+        raise MathError("logarithm needs multiplier 1")
+    f, _, _ = _lie_series(h.tail, N, log=True)
+    return VectorField1(f)
 
 
 def compose(outer: FormalDiffeo1, inner: FormalDiffeo1) -> FormalDiffeo1:
@@ -217,8 +201,8 @@ def diffeo_close(h: FormalDiffeo1, g: FormalDiffeo1) -> bool:
 
 
 def is_identity(h: FormalDiffeo1) -> bool:
-    ident = FormalDiffeo1.identity(h.ring, h.variable, h.order)
-    return diffeo_close(h, ident)
+    return diffeo_close(h, FormalDiffeo1.linear(h.ring, h.variable, h.order,
+                                                1))
 
 
 def pd_holonomy_model(m: int, N: int, ring=None) -> FormalDiffeo1:
@@ -410,15 +394,20 @@ def group_model(p: int, m: int, Y: VectorField1,
         turn = mpmath.mpc(0, 2 * mpmath.pi)
         mu, lam = mpmath.exp(turn / m), mpmath.exp(turn / p)
     mu, lam = ring.coerce(mu), ring.coerce(lam)
-    plus, minus = _lie_flows(Y, N, True)
+    _, plus, minus = _lie_series(Y.f, N)
     ratio = ring.div(lam, mu)
-    h1 = FormalDiffeo1(mu, plus.tail.scale(mu))
-    h2 = FormalDiffeo1(ratio, minus.tail.scale(ratio))
+    h1 = FormalDiffeo1(mu, plus.scale(mu))
+    h2 = FormalDiffeo1(ratio, minus.scale(ratio))
     return HolonomyGroupModel(p, m, mu, lam, Y, h1, h2)
 
 
 def dichotomy(p: int, m: int) -> str:
-    """Abelian when p divides m, non-solvable otherwise."""
+    """Abelian when p divides m, non-solvable otherwise.
+
+    This is the dichotomy of the model group <mu*exp(Y),
+    (lambda/mu)*exp(-Y)> of ``group_model``, whose generators lie in the
+    flow of one field Y.  It is not read from an input's holonomy group,
+    which can differ from the model's."""
     if p < 2 or m < 2:
         raise InputError("dichotomy needs p >= 2 and m >= 2")
     return "Abelian" if m % p == 0 else "NonSolvable"

@@ -231,7 +231,9 @@ class _Parser:
             return (self.zero(), self.zero(), self.scalar(1))
         if name == "d":
             self.expect("(")
+            self.order += 1  # the derivative drops it again
             inner = self.expr()
+            self.order -= 1
             self.expect(")")
             if self.is_form(inner):
                 raise InputError("d(...) of a 1-form at offset %d" % tok.pos)

@@ -276,7 +276,7 @@ def test_cli_dx_term_above_the_parse_order_exits_4():
     code, out, err = run(["classify", "--expr", expr])
     assert (code, out) == (4, "")
     assert err.startswith("error[precision]: the dx-coefficient vanishes "
-                          "to its truncation order 23")
+                          "to its truncation order 24")
     code, out, err = run(["classify", "--expr", expr, "--order", "50"])
     assert code == 0, err
     assert "case: saddle" in out
@@ -374,15 +374,34 @@ def test_cli_exit_codes_cover_error_classes():
 
 
 def test_cli_chart_form_zero_to_order_exits_4():
-    # after four blow-ups the chart form keeps no order to spare, so it
-    # cannot be recentred at the divisor point z = 3/2
+    # the unit runs past the parse order, so the chart form is truncated
+    # and cannot be recentred at the divisor point z = 2
     code, out, err = run(["report", "--json", "--mode", "exact",
-                          "--order", "8", "--expr",
-                          "d(y^2+x^8) + -13/3*x^4*(1+x-2*x^2+1/3*x^3"
-                          "-3/2*x^4)*dy"])
+                          "--order", "18", "--expr",
+                          "d(y^2+x^4)-5*x^2*(1+x+x^40)*dy"])
     assert code == 4 and out == ""
     assert "error[precision]" in err
-    assert "recenter at z = 3/2, order" in err
+    assert "recenter at z = 2, order 15" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "param:b"])
+def test_cli_both_spellings_of_a_polynomial_agree(mode):
+    """d(P) parses P one degree further, so its differential keeps the
+    parse order: d(x^9) at order 8 is the exact 9*x^8*dx, and both
+    spellings of the (4,5) example give one epsilon at order 8."""
+    form = parse_expr("d(x^9) + dy", "exact", 8).form
+    assert (form.a.coeffs, form.a.truncated) == ({(8, 0): 9}, False)
+    unit = "-13/3*x^4*(1+2*x+x^2-1/2*x^3+1/3*x^4)*dy"
+    outs = []
+    for text in ("d(y^2+x^8)+" + unit, "8*x^7*dx+2*y*dy+" + unit):
+        code, out, err = run(["classify", "--mode", mode, "--order", "8",
+                              "--expr", text])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "verdict: GeneralizedPD" in outs[0]
+    if mode == "exact":
+        assert "epsilon: -5823326453789/32768\n" in outs[0]
 
 
 @pytest.mark.parametrize("argv", [

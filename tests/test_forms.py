@@ -282,12 +282,13 @@ def test_cs_index_higher_order_zero():
 
 def test_report_at_bundles_everything():
     omega = saddle_after_two_blowups(QQ, 1)
-    rep = report_at(recenter_z(omega, 2), 2, chart="C1")
+    rep = report_at(recenter_z(omega, 2), 2)
     assert rep.type.kind is SingKind.POINCARE_DULAC_CANDIDATE
     assert rep.type.m == 6
     assert rep.cs == rational(1, 6)
     assert rep.eigen_exact
     doc = rep.json(QQ)
+    assert doc["chart"] == "C1"
     assert doc["type"]["m"] == 6
     assert doc["cs_index"] == "1/6"
     assert doc["location"] == "2/1"

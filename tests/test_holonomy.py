@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import pdfol
-from pdfol.errors import InputError, MathError
+from pdfol.errors import InputError, MathError, PrecisionError
 from pdfol.forms import OneForm2, cs_index, dual
 from pdfol.holonomy import (FormalDiffeo1, VectorField1, _dop853, compose,
                             dichotomy, diffeo_close, exp_vf, group_commutator,
@@ -61,6 +61,28 @@ def test_exp_zero_field_is_identity():
     h = exp_vf(vf({}, order=8), 8)
     assert h.multiplier == rat(1)
     assert h.tail.is_zero()
+
+
+def test_exp_of_an_exact_field_reads_zeros_past_its_order():
+    # x^2 d/dx known exactly: its flow x/(1-x) is found to any order
+    h = exp_vf(vf({2: 1}, order=4), 8)
+    assert h.series() == Series1(QQ, "x", 8, {k: 1 for k in range(1, 9)})
+    assert h.order == 8
+
+
+def test_flows_and_log_need_a_series_known_to_N():
+    field = Series1(QQ, "x", 6, {3: 1}, truncated=True)
+    with pytest.raises(PrecisionError,
+                       match=r"^flow field known only to order 6 < N = 8$"):
+        exp_vf(VectorField1(field), 8)
+    with pytest.raises(PrecisionError, match="^flow field"):
+        group_model(2, 2, VectorField1(Series1(CC, "x", 6, {3: 1},
+                                               truncated=True)), 8)
+    with pytest.raises(PrecisionError, match=r"^diffeomorphism known only "
+                                             r"to order 6 < N = 8$"):
+        log_diffeo(FormalDiffeo1(QQ.coerce(1), field), 8)
+    assert exp_vf(VectorField1(field), 6).tail.truncated
+    assert log_diffeo(FormalDiffeo1(QQ.coerce(1), field), 6).f.order == 6
 
 
 def test_exp_rejects_low_valuation():

@@ -1,6 +1,7 @@
-"""Property tests of the one-pass series reversion and Lie-series
-logarithm over random sparse maps in all three rings, and of their float
-accuracy against a 300-bit reference."""
+"""Property tests of the one-pass series reversion and of the Lie series
+(exp(Y), exp(-Y) and the logarithm) over random sparse maps and fields
+in all three rings, and of their float accuracy against a 300-bit
+reference."""
 
 import mpmath
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfol.errors import MathError, NotInvertibleError
-from pdfol.holonomy import (FormalDiffeo1, VectorField1, exp_vf, inverse,
-                            log_diffeo, pd_holonomy_model)
+from pdfol.holonomy import (FormalDiffeo1, VectorField1, _lie_series, exp_vf,
+                            inverse, log_diffeo, pd_holonomy_model)
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1
+
+from util import lie_flows_by_products
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -90,6 +93,48 @@ def test_log_and_exp_are_inverse(case):
             ring.name
         Y = VectorField1(field)
         assert log_diffeo(exp_vf(Y, order), order).f == field, ring.name
+
+
+@st.composite
+def lie_fields(draw):
+    """(N, order, {degree: (q, e)}, truncated): a field known at least to
+    N, on the degrees 1 + k*gap (k >= 1), all of them (dense) or a few
+    (gapped, the shape of a holonomy generator's field); it may be zero."""
+    N = draw(st.integers(2, 14))
+    order = draw(st.integers(N, N + 3))
+    gap = draw(st.integers(1, 4))
+    degrees = list(range(1 + gap, order + 1, gap))
+    if degrees and not draw(st.booleans()):
+        degrees = draw(st.lists(st.sampled_from(degrees), max_size=4))
+    tail = {d: (rational(draw(NONZERO), draw(st.integers(1, 3))),
+                draw(st.integers(0, 2))) for d in degrees}
+    return N, order, tail, draw(st.booleans())
+
+
+@settings(PROPERTY, max_examples=100)  # 30 examples hold few dense fields
+@given(lie_fields())
+def test_lie_series_matches_the_product_loop(case):
+    """exp(Y) - x and exp(-Y) - x by degree against full products: exact
+    and param values are identical, float ones agree to a few units of
+    the 64th bit of the largest coefficient, and the order and truncated
+    flags agree.  exp(-Y) is exp_vf(-Y) bit for bit."""
+    N, order, tail, truncated = case
+    for ring in RINGS:
+        f = build(ring, order, None, tail, truncated)
+        _, plus, minus = _lie_series(f, N)
+        Y = VectorField1(f)
+        assert plus.coeffs == exp_vf(Y, N).tail.coeffs, ring.name
+        assert minus.coeffs == exp_vf(-Y, N).tail.coeffs, ring.name
+        for got, want in zip((plus, minus), lie_flows_by_products(f, N)):
+            assert (got.order, got.truncated) == (want.order, want.truncated)
+            if ring is not CC:
+                assert got.coeffs == want.coeffs, ring.name
+                continue
+            with mpmath.workprec(256):
+                scale = max(map(abs, want.coeffs.values()), default=0)
+                assert all(abs(got.coefficient(k) - want.coefficient(k))
+                           <= 4 * scale * mpmath.ldexp(1, -64)
+                           for k in set(got.coeffs) | set(want.coeffs))
 
 
 def relative_error(value: Series1, reference: Series1):

@@ -5,9 +5,10 @@ fibered field by the dense tail, the conjugacy solve by full products
 and the transport of a tail through a fibered map, shared across test
 modules; the balanced-case split as it took a tolerance, which the
 ring-driven ``saddle_subcase`` must reproduce; the chain method on the
-whole form, which the chain on jets must reproduce; and the small
-oracles that no command runs: the form of a field, the wedge product,
-matrix equality, conjugation, commuting with a scaling and the
+whole form, which the chain on jets must reproduce; the Lie series by
+full products, which the recursion by degree must reproduce; and the
+small oracles that no command runs: the form of a field, the wedge
+product, matrix equality, conjugation, commuting with a scaling and the
 brute-force normal-form bound."""
 
 import mpmath
@@ -381,6 +382,31 @@ def commutes_with_scaling(h: FormalDiffeo1, alpha, N: int = None) -> bool:
     scaled_x = Series1.monomial(ring, h.variable, s.order, 1, alpha)
     right = s.compose(scaled_x)
     return ring.series_close(left, right)
+
+
+def lie_flows_by_products(f: Series1, N: int):
+    """exp(Y) - x and exp(-Y) - x for Y = f d/dx, as full products form
+    them: T_1 = f, T_k = f*T_(k-1)'/k, each product cut at N.  The
+    derivative drops one order, which f restores: val(f) >= 2 shifts
+    every term of T' up by at least 2, so f*T' is known to N.  Both sums
+    add +-T_1 first and then each term in turn.  Both routes read f to
+    N only when f is known to N (its order is at least N)."""
+    ring = f.ring
+    x = Series1.monomial(ring, f.variable, N, 1)
+    plus = minus = term = x
+    k = 1
+    while not term.is_zero() and k <= N:
+        der = term.derive()
+        der = Series1._raw(ring, f.variable, N, dict(der.coeffs),
+                           der.truncated)
+        prod = {d: c for d, c in (f * der).coeffs.items() if d <= N}
+        term = Series1._raw(ring, f.variable, N, prod,
+                            f.truncated or term.truncated)
+        term = term.scale(ring.coerce(rational(1, k)))
+        plus = plus + term
+        minus = minus - term if k % 2 else minus + term
+        k += 1
+    return plus - x, minus - x
 
 
 def bound_bruteforce(m: int, R: int):
