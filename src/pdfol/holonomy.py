@@ -115,7 +115,9 @@ def _lie_series(source: Series1, N: int, log: bool = False):
     Returns f, exp(Y) - x and exp(-Y) - x.  The k-th term of -Y is
     (-1)^k times that of Y, bit for bit: negation commutes with every
     rounded product, sum and scaling.  So exp(-Y) - x, the alternating
-    sum, is what the recursion gives for -Y."""
+    sum, is what the recursion gives for -Y.  All three are flagged
+    truncated unless the source is exact and zero: a nonzero field's T_k
+    reach every degree."""
     ring = source.ring
     if source.truncated and source.order < N:
         raise PrecisionError("%s known only to order %d < N = %d"
@@ -124,7 +126,9 @@ def _lie_series(source: Series1, N: int, log: bool = False):
     f, plus, minus = {}, {}, {}
     # slopes[k][j] = j * [x^j] T_k, so [x^(j-1)] T_k' = slopes[k][j]
     slopes = [None] + [{} for _ in range(N)]
-    for d in range(2, N + 1):
+    # f, each T_k and both sums lie on the degrees 1 + g*Z of the source
+    step = math.gcd(*(d - 1 for d in source.coeffs)) or 1
+    for d in range(1 + step, N + 1, step):
         terms = []  # (k, [x^d] T_k) for k >= 2
         for k in range(2, d):
             lower = slopes[k - 1]
@@ -157,9 +161,9 @@ def _lie_series(source: Series1, N: int, log: bool = False):
         for tail, value in ((plus, plus_d), (minus, minus_d)):
             if not ring.is_zero(value):
                 tail[d] = value
-    return [Series1._raw(ring, source.variable, N, coeffs, truncated)
-            for coeffs, truncated in ((f, False), (plus, source.truncated),
-                                      (minus, source.truncated))]
+    cut = source.truncated or bool(source.coeffs)
+    return [Series1._raw(ring, source.variable, N, coeffs, cut)
+            for coeffs in (f, plus, minus)]
 
 
 def exp_vf(Y: VectorField1, N: int) -> FormalDiffeo1:
@@ -223,8 +227,12 @@ def pd_holonomy_model(m: int, N: int, ring=None) -> FormalDiffeo1:
     return FormalDiffeo1(ring.coerce(mu), flow.tail.scale(ring.coerce(mu)))
 
 
-def _eval2(terms, xv, zv):
-    return sum(c * xv ** i * zv ** j for i, j, c in terms)
+def _eval2(terms, xv, z):
+    """sum(c * xv^i * z^j for (i, j, c) in terms), with no generator."""
+    acc = 0
+    for i, j, c in terms:
+        acc += c * xv ** i * z ** j
+    return acc
 
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.5-II.10)
@@ -260,10 +268,7 @@ _E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
 _E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
        0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
-
-
-def _dot(coeffs, values):
-    return sum(map(operator.mul, coeffs, values))
+_STAGES = tuple(zip(_C, _A))
 
 
 def _dop853(slope, y, atol):
@@ -271,6 +276,7 @@ def _dop853(slope, y, atol):
     step control of scipy's DOP853 (initial step after HNW II.4, safety
     0.9, factor in [0.2, 10], exponent -1/8, the E5/E3 error norm)."""
     t, rtol, max_step = 0.0, 1e-10, 0.05
+    mul = operator.mul
     try:
         f = slope(t, y)
         scale = atol + abs(y) * rtol
@@ -288,12 +294,12 @@ def _dop853(slope, y, atol):
                 t_new = min(t + h, 1.0)
                 h = t_new - t
                 K = [f]
-                for c, row in zip(_C, _A):
-                    K.append(slope(t + c * h, y + _dot(row, K) * h))
-                y_new = y + h * _dot(_B, K)
+                for c, row in _STAGES:
+                    K.append(slope(t + c * h, y + sum(map(mul, row, K)) * h))
+                y_new = y + h * sum(map(mul, _B, K))
                 scale = atol + max(abs(y), abs(y_new)) * rtol
-                err5 = abs(_dot(_E5, K) / scale) ** 2
-                err3 = abs(_dot(_E3, K) / scale) ** 2
+                err5 = abs(sum(map(mul, _E5, K)) / scale) ** 2
+                err3 = abs(sum(map(mul, _E3, K)) / scale) ** 2
                 error = (h * err5 / math.sqrt(err5 + 0.01 * err3)
                          if err5 or err3 else 0.0)
                 if error < 1:

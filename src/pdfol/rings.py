@@ -59,9 +59,8 @@ import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import (fone, from_float, from_man_exp, mpc_abs, mpc_add,
-                          mpc_mul, mpc_neg, mpc_sub, mpf_le, mpf_mul,
-                          round_nearest)
+from mpmath.libmp import (fone, from_float, fzero, mpc_abs, mpc_add, mpc_neg,
+                          mpc_sub, mpf_le, mpf_mul, round_nearest)
 
 from .errors import InputError, MathError, NotInvertibleError
 from .series import Series1
@@ -460,8 +459,18 @@ def _split(a):
     return (-rm if rs else rm), re, (-im if is_ else im), ie
 
 
+def _part(man, exp):
+    """``from_man_exp(man, exp)``: man*2^exp exactly, its mantissa odd."""
+    if not man:
+        return fzero
+    sign, man = (0, man) if man > 0 else (1, -man)
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
 def _join(rm, re, im, ie):
-    return _make_mpc((from_man_exp(rm, re), from_man_exp(im, ie)))
+    return _make_mpc((_part(rm, re), _part(im, ie)))
 
 
 def _add(a, ea, b, eb, prec):
@@ -492,22 +501,6 @@ def _add(a, ea, b, eb, prec):
     if q & 1 and (q & 2 or a & (1 << n - 1) - 1):
         return (q >> 1) + 1, ea + n
     return q >> 1, ea + n
-
-
-def _mul(a, b, prec):
-    """``mpc_mul``: each part's exact sum of exact products, rounded once
-    by ``_add``.  The mantissas of ``_split`` elements are odd, so the
-    products' are too, as ``mpf_add`` needs them for its exponent test."""
-    ar, ae, ai, aie = a
-    br, be, bi, bie = b
-    return (_add(ar * br, ae + be, -(ai * bi), aie + bie, prec)
-            + _add(ar * bi, ae + bie, ai * br, aie + be, prec))
-
-
-def _sum(a, b, prec):
-    """``mpc_add`` of two ``_mul`` results or sums."""
-    return (_add(a[0], a[1], b[0], b[1], prec)
-            + _add(a[2], a[3], b[2], b[3], prec))
 
 
 class ComplexApprox(CoefficientRing):
@@ -564,9 +557,11 @@ class ComplexApprox(CoefficientRing):
             raise MathError("coefficient %r is not finite" % (value,))
         return out
 
-    # add, sub and mul round to ``precision`` bits, to nearest, on the raw
-    # mpmath tuples: the same bits as native operators under
-    # ``workprec(precision)``, without entering a context per operation.
+    # add, sub and mul round to ``precision`` bits, to nearest: the same
+    # bits as native operators under ``workprec(precision)``, without
+    # entering a context per operation.  add and sub call mpmath on the
+    # raw tuples; mul is the ``dot`` of one pair, on split mantissas,
+    # which is faster there.
     def add(self, a, b):
         return _make_mpc(mpc_add(a._mpc_, b._mpc_, self.precision,
                                  round_nearest))
@@ -576,8 +571,7 @@ class ComplexApprox(CoefficientRing):
                                  round_nearest))
 
     def mul(self, a, b):
-        return _make_mpc(mpc_mul(a._mpc_, b._mpc_, self.precision,
-                                 round_nearest))
+        return self.dot(((a, b),))
 
     def neg(self, a):
         """Exact: no rounding, so all ``precision`` bits survive (``-a``
@@ -604,13 +598,25 @@ class ComplexApprox(CoefficientRing):
         return mpf_le(size, mpf_mul(self._tol, size, self.precision,
                                     round_nearest))
 
+    # In dot and combine each part of a product is ``mpc_mul``'s: the
+    # exact sum of exact products, rounded once by ``_add``.  The
+    # mantissas of ``_split`` elements are odd, so the products' are too,
+    # as ``mpf_add`` needs them for its exponent test.  Adding a product
+    # to a running sum is ``mpc_add``: one ``_add`` per part.
     def dot(self, pairs):
         prec = self.precision
-        acc = None
+        sr = None
         for a, b in pairs:
-            p = _mul(_split(a), _split(b), prec)
-            acc = p if acc is None else _sum(acc, p, prec)
-        return None if acc is None else _join(*acc)
+            ar, ae, ai, aie = _split(a)
+            br, be, bi, bie = _split(b)
+            pr, pe = _add(ar * br, ae + be, -(ai * bi), aie + bie, prec)
+            pi, pie = _add(ar * bi, ae + bie, ai * br, aie + be, prec)
+            if sr is None:
+                sr, se, si, sie = pr, pe, pi, pie
+            else:
+                sr, se = _add(sr, se, pr, pe, prec)
+                si, sie = _add(si, sie, pi, pie, prec)
+        return None if sr is None else _join(sr, se, si, sie)
 
     def combine(self, terms, order, degree, add_keys):
         prec = self.precision
@@ -622,19 +628,23 @@ class ComplexApprox(CoefficientRing):
             limit = order - degree(shift)
             split = rights.get(id(right))
             if split is None:
-                split = rights[id(right)] = [(key, degree(key), _split(b))
+                split = rights[id(right)] = [(key, degree(key), *_split(b))
                                              for key, b in right.items()]
-            a = _split(a)
-            for key, d, b in split:
+            ar, ae, ai, aie = _split(a)
+            for key, d, br, be, bi, bie in split:
                 if d > limit:
                     cut = True
                     continue
                 key = add_keys(shift, key)
-                p = _mul(a, b, prec)
+                pr, pe = _add(ar * br, ae + be, -(ai * bi), aie + bie, prec)
+                pi, pie = _add(ar * bi, ae + bie, ai * br, aie + be, prec)
                 q = get(key)
-                acc[key] = p if q is None else _sum(q, p, prec)
-        acc = {key: _join(*v) for key, v in acc.items()}
-        return {key: v for key, v in acc.items() if not self.is_zero(v)}, cut
+                acc[key] = ((pr, pe, pi, pie) if q is None
+                            else _add(q[0], q[1], pr, pe, prec)
+                            + _add(q[2], q[3], pi, pie, prec))
+        is_zero = self.is_zero
+        return {key: v for key, q in acc.items()
+                if not is_zero(v := _join(*q))}, cut
 
     def eq(self, a, b) -> bool:
         with mpmath.workprec(self.precision):

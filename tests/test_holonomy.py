@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import pdfol
+from pdfol.blowup import blowup_chain
 from pdfol.errors import InputError, MathError, PrecisionError
 from pdfol.forms import OneForm2, cs_index, dual
 from pdfol.holonomy import (FormalDiffeo1, VectorField1, _dop853, compose,
@@ -22,7 +23,8 @@ from pdfol.parser import parse_expr
 from pdfol.rings import ComplexApprox, rational
 from pdfol.series import Series1, Series2
 
-from util import QQ, commutes_with_scaling, conjugate, fibered_model_form
+from util import (QQ, commutes_with_scaling, conjugate, dop853_by_dot,
+                  fibered_model_form, holonomy_by_sum)
 
 CC = ComplexApprox()
 
@@ -256,15 +258,51 @@ def test_numeric_holonomy_batch_matches_single_samples():
     assert numeric_holonomy(omega, 0, 1.0, []) == []
 
 
-@pytest.mark.parametrize("slope, y0", [
+STALLS = pytest.mark.parametrize("slope, y0", [
     (lambda t, y: y * y, 4),  # y = 4 / (1 - 4t) blows up at t = 1/4
     (lambda t, y: complex(math.inf, 0) if t > 0.25 else 1j, 0)],
     ids=["blow-up", "non-finite"])
+
+
+@STALLS
 def test_transport_that_cannot_go_on_is_a_math_error(slope, y0):
     """A solution that blows up or a slope that turns non-finite ends the
     transport with MathError near where it happens."""
     with pytest.raises(MathError, match=r"transport failed at t = 0\.2"):
         _dop853(slope, complex(y0), 1e-14)
+
+
+@STALLS
+def test_stalled_transport_says_what_the_stepper_on_sum_says(slope, y0):
+    messages = []
+    for stepper in (_dop853, dop853_by_dot):
+        with pytest.raises(MathError) as info:
+            stepper(slope, complex(y0), 1e-14)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_transport_matches_the_stepper_on_sum_to_the_bit(m):
+    """The stage loop over paired rows and the slope's plain term loops
+    give the ends of ``util.holonomy_by_sum``, which forms every weighted
+    sum and both polynomial values with ``sum``, bit for bit."""
+    omega = parse_expr("x*dy - %d*y*dx - x^%d*dx" % (m, m), "float").form
+    xs = [0.05, 0.01, complex(0.03, -0.02), 0.04j]
+    assert ([end._mpc_ for end in numeric_holonomy(omega, 0, 1.0, xs)]
+            == [end._mpc_ for end in holonomy_by_sum(omega, 0, 1.0, xs)])
+
+
+def test_worked_example_transport_matches_the_stepper_on_sum():
+    """Around both divisor singularities z = 2 and z = 1/2 of the worked
+    example's final chart, where a and b have several terms each."""
+    form = parse_expr("d(y^2+x^4)-5*x^2*(1+x)*dy", "float", 24).form
+    final = blowup_chain(form, 2).final
+    xs = [0.01, 0.05, complex(0.02, 0.01)]
+    for center in (2, 0.5):
+        ends = numeric_holonomy(final, center, 0.3, xs)
+        assert ([end._mpc_ for end in ends] == [
+            end._mpc_ for end in holonomy_by_sum(final, center, 0.3, xs)])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

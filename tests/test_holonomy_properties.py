@@ -1,11 +1,12 @@
 """Property tests of the one-pass series reversion and of the Lie series
 (exp(Y), exp(-Y) and the logarithm) over random sparse maps and fields
-in all three rings, and of their float accuracy against a 300-bit
+in all three rings, of the Lie series' degree stride against the loop
+over every degree, and of their float accuracy against a 300-bit
 reference."""
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfol.errors import MathError, NotInvertibleError
@@ -14,7 +15,7 @@ from pdfol.holonomy import (FormalDiffeo1, VectorField1, _lie_series, exp_vf,
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1
 
-from util import lie_flows_by_products
+from util import lie_flows_by_products, lie_series_every_degree, raw
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -93,6 +94,9 @@ def test_log_and_exp_are_inverse(case):
             ring.name
         Y = VectorField1(field)
         assert log_diffeo(exp_vf(Y, order), order).f == field, ring.name
+        # a nonzero logarithm is a whole series, not a polynomial
+        assert (log_diffeo(h, order).f.truncated
+                == (truncated or bool(tail))), ring.name
 
 
 @st.composite
@@ -116,8 +120,10 @@ def lie_fields(draw):
 def test_lie_series_matches_the_product_loop(case):
     """exp(Y) - x and exp(-Y) - x by degree against full products: exact
     and param values are identical, float ones agree to a few units of
-    the 64th bit of the largest coefficient, and the order and truncated
-    flags agree.  exp(-Y) is exp_vf(-Y) bit for bit."""
+    the 64th bit of the largest coefficient, and the orders agree.  Both
+    are flagged truncated when the field is truncated or nonzero: the
+    flow of a nonzero field has terms in every degree 1 + k*gap, past
+    any N.  exp(-Y) is exp_vf(-Y) bit for bit."""
     N, order, tail, truncated = case
     for ring in RINGS:
         f = build(ring, order, None, tail, truncated)
@@ -126,7 +132,8 @@ def test_lie_series_matches_the_product_loop(case):
         assert plus.coeffs == exp_vf(Y, N).tail.coeffs, ring.name
         assert minus.coeffs == exp_vf(-Y, N).tail.coeffs, ring.name
         for got, want in zip((plus, minus), lie_flows_by_products(f, N)):
-            assert (got.order, got.truncated) == (want.order, want.truncated)
+            assert got.order == want.order
+            assert got.truncated == (truncated or bool(tail))
             if ring is not CC:
                 assert got.coeffs == want.coeffs, ring.name
                 continue
@@ -135,6 +142,32 @@ def test_lie_series_matches_the_product_loop(case):
                 assert all(abs(got.coefficient(k) - want.coefficient(k))
                            <= 4 * scale * mpmath.ldexp(1, -64)
                            for k in set(got.coeffs) | set(want.coeffs))
+
+
+@PROPERTY
+@given(lie_fields(), st.booleans())
+# empty, one term, gapped by 3 and dense fields; a term past N sets
+# the stride too
+@example((8, 8, {}, False), False)
+@example((9, 9, {4: (rational(1), 0)}, False), True)
+@example((13, 13, {4: (rational(1, 2), 1), 10: (rational(-3), 2)}, True),
+         False)
+@example((12, 12, {d: (rational(d, 3), d % 3) for d in range(2, 13)},
+          False), True)
+@example((6, 9, {3: (rational(1), 0), 8: (rational(2), 0)}, False), False)
+def test_lie_series_on_its_stride_matches_every_degree(case, log):
+    """The recursion on the degrees 1 + g*Z, g the gcd of d - 1 over the
+    source's support, gives the coefficients of the recursion over every
+    degree, in insertion order and bit for bit, for exp and for log."""
+    N, order, tail, truncated = case
+    for ring in RINGS:
+        source = build(ring, order, None, tail, truncated)
+        got = _lie_series(source, N, log)
+        want = lie_series_every_degree(source, N, log)
+        for series, coeffs in zip(got, want):
+            assert ([(d, raw(ring, c)) for d, c in series.coeffs.items()]
+                    == [(d, raw(ring, c)) for d, c in coeffs.items()]), \
+                ring.name
 
 
 def relative_error(value: Series1, reference: Series1):

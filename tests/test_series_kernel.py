@@ -12,12 +12,13 @@ test_series_properties.  ``dot`` must give what folding ``ring.mul``
 and ``ring.add`` over the pairs in order gives, bit for bit, and None
 for no pairs.
 
-The float ring runs both kernels on integer mantissas, so they are also
-checked against a fold of mpmath's ``mpc_mul`` and ``mpc_add`` at 53,
-64 and 200 bits, over values built to meet ties to even, exponent gaps
-of more than 100 bits (where ``mpf_add`` perturbs instead of adding
-exactly, and gives other bits for an exact product), zero and negative
-parts, and exact cancellation to 0."""
+The float ring runs both kernels and ``mul`` on integer mantissas, so
+they are also checked against a fold of mpmath's ``mpc_mul`` and
+``mpc_add`` at 53, 64, 120 and 200 bits, over values built to meet ties
+to even, exponent gaps of more than 100 bits (where ``mpf_add`` perturbs
+instead of adding exactly, and gives other bits for an exact product),
+zero and negative parts, and exact cancellation to 0; and the parts
+that ``_join`` builds are checked against ``from_man_exp``."""
 
 import operator
 
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import (from_man_exp, mpc_add, mpc_mul, mpf_mul, mpf_neg,
                           mpf_pos, mpf_sub, round_nearest)
 
+from pdfol import rings
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact
 from pdfol.rings import rational
 from pdfol.series import Series1, Series2
@@ -145,7 +147,7 @@ def test_dot_matches_pairwise_fold(spec_pairs):
 # ring's precision; wide exponents give gaps of more than 100 bits
 # between the parts of a product (mpf_add's perturbation branch).
 
-FLOAT_PRECISIONS = (53, 64, 200)
+FLOAT_PRECISIONS = (53, 64, 120, 200)
 PARTS = st.tuples(st.one_of(st.integers(-3, 3),
                             st.integers(-2 ** 200, 2 ** 200)),
                   st.one_of(st.integers(-4, 4), st.integers(-400, 400)))
@@ -236,11 +238,15 @@ def test_perturbed_pair_takes_the_perturbation_branch():
           (((-5, 3), (7, 1)), ((9, 0), (1, -2)))])
 @example([(((3, 0), (3, 0)), ((5, 2), (5, 2)))])
 def test_float_dot_is_a_fold_of_mpc_mul_and_mpc_add(specs):
-    """Each pair alone too, so that no sum hides a product's last bit."""
+    """Each pair alone too, so that no sum hides a product's last bit,
+    and ``mul`` of each pair is ``mpc_mul``'s."""
     for prec in FLOAT_PRECISIONS:
         ring = ComplexApprox(precision=prec)
         pairs = [(float_element(a, prec), float_element(b, prec))
                  for a, b in specs]
+        assert ([ring.mul(a, b)._mpc_ for a, b in pairs]
+                == [mpc_mul(a._mpc_, b._mpc_, prec, round_nearest)
+                    for a, b in pairs]), prec
         for chunk in [pairs] + [[pair] for pair in pairs]:
             got, want = ring.dot(chunk), fold(prec, chunk)
             if want is None:
@@ -290,3 +296,24 @@ def test_float_combine_is_a_fold_of_mpc_mul_and_mpc_add(case):
         got, got_cut = ring.combine(terms, order, int, operator.add)
         assert [(key, v._mpc_) for key, v in got.items()] == want, prec
         assert got_cut == cut
+
+
+MANTISSAS = st.one_of(st.integers(-8, 8), st.integers(-2 ** 300, 2 ** 300),
+                      st.builds(lambda k, e, s: s * (2 * k + 1) << e,
+                                st.integers(0, 2 ** 70), st.integers(0, 300),
+                                st.sampled_from((1, -1))))
+
+
+@PROPERTY
+@given(MANTISSAS, st.integers(-500, 500), MANTISSAS, st.integers(-500, 500))
+@example(0, 7, 0, -3)
+@example(-(1 << 64), 0, 1 << 200, -1000)
+@example(6, -1, -1024, 2)
+def test_join_builds_the_parts_of_from_man_exp(rm, re, im, ie):
+    """Zero parts, odd mantissas, and even ones with up to 300 trailing
+    zero bits: the same sign, mantissa, exponent and bit count, as ints."""
+    got = rings._join(rm, re, im, ie)._mpc_
+    want = (from_man_exp(rm, re), from_man_exp(im, ie))
+    assert got == want
+    assert [list(map(type, part)) for part in got] == [
+        list(map(type, part)) for part in want]

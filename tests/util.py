@@ -6,10 +6,18 @@ and the transport of a tail through a fibered map, shared across test
 modules; the balanced-case split as it took a tolerance, which the
 ring-driven ``saddle_subcase`` must reproduce; the chain method on the
 whole form, which the chain on jets must reproduce; the Lie series by
-full products, which the recursion by degree must reproduce; and the
-small oracles that no command runs: the form of a field, the wedge
+full products, which the recursion by degree must reproduce, and that
+recursion over every degree, which the one on the source's degree
+stride must reproduce; the DOP853 stepper and leaf-lift slope built on
+``sum``, which the transport must reproduce to the bit; and the small
+oracles that no command runs: the form of a field, the wedge
 product, matrix equality, conjugation, commuting with a scaling and the
 brute-force normal-form bound."""
+
+import cmath
+import math
+import operator
+from functools import reduce
 
 import mpmath
 from hypothesis import strategies as st
@@ -23,7 +31,8 @@ from pdfol.errors import MathError
 from pdfol.forms import (Matrix2, OneForm2, PlaneVectorField, SingKind,
                          classify_singularity, dual, linear_part,
                          normalized_jordan)
-from pdfol.holonomy import FormalDiffeo1, compose, inverse
+from pdfol.holonomy import (_A, _B, _C, _E3, _E5, FormalDiffeo1, compose,
+                            inverse)
 from pdfol.normal_form import (FiberedField, _at_order, _dz, _times,
                                homological_step)
 from pdfol.parser import parse_expr
@@ -426,3 +435,119 @@ def bound_bruteforce(m: int, R: int):
             if j * best_d > best_n * div:
                 best_n, best_d = j, div
     return rational(best_n, best_d)
+
+
+def lie_series_every_degree(source: Series1, N: int, log: bool = False):
+    """The coefficient dicts f, exp(Y) - x and exp(-Y) - x of
+    ``holonomy._lie_series``, its recursion run at every degree 2..N
+    rather than on the source's degree stride."""
+    ring = source.ring
+    f, plus, minus = {}, {}, {}
+    slopes = [None] + [{} for _ in range(N)]
+    for d in range(2, N + 1):
+        terms = []
+        for k in range(2, d):
+            lower = slopes[k - 1]
+            if not lower:
+                break
+            acc = ring.dot((fi, lower[d - i + 1]) for i, fi in f.items()
+                           if d - i + 1 in lower)
+            if acc is None:
+                continue
+            acc = ring.mul(acc, ring.coerce(rational(1, k)))
+            if ring.is_zero(acc):
+                continue
+            slopes[k][d] = ring.mul(acc, ring.coerce(d))
+            terms.append((k, acc))
+        c = source.coeffs.get(d)
+        if c is None:
+            if not terms:
+                continue
+            c = ring.zero
+        if log and terms:
+            c = ring.sub(c, reduce(ring.add, (t for _, t in terms)))
+        if not ring.is_zero(c):
+            f[d] = c
+            slopes[1][d] = ring.mul(c, ring.coerce(d))
+        plus_d = reduce(ring.add, (t for _, t in terms), c)
+        minus_d = reduce(ring.add, (t if k % 2 == 0 else ring.neg(t)
+                                    for k, t in terms), ring.neg(c))
+        for tail, value in ((plus, plus_d), (minus, minus_d)):
+            if not ring.is_zero(value):
+                tail[d] = value
+    return f, plus, minus
+
+
+def _dot(coeffs, values):
+    return sum(map(operator.mul, coeffs, values))
+
+
+def dop853_by_dot(slope, y, atol):
+    """``holonomy._dop853`` with each stage's, the solution's and both
+    error estimates' weighted sums formed by one ``_dot`` call each."""
+    t, rtol, max_step = 0.0, 1e-10, 0.05
+    try:
+        f = slope(t, y)
+        scale = atol + abs(y) * rtol
+        d0, d1 = abs(y) / scale, abs(f) / scale
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, 1.0)
+        d2 = abs(slope(h0, y + h0 * f) - f) / scale / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** 0.125)
+        h = min(100 * h0, h1, max_step)
+        while t < 1.0:
+            min_step = 10 * math.ulp(t)
+            h = min(max(h, min_step), max_step)
+            rejected = False
+            while True:
+                t_new = min(t + h, 1.0)
+                h = t_new - t
+                K = [f]
+                for c, row in zip(_C, _A):
+                    K.append(slope(t + c * h, y + _dot(row, K) * h))
+                y_new = y + h * _dot(_B, K)
+                scale = atol + max(abs(y), abs(y_new)) * rtol
+                err5 = abs(_dot(_E5, K) / scale) ** 2
+                err3 = abs(_dot(_E3, K) / scale) ** 2
+                error = (h * err5 / math.sqrt(err5 + 0.01 * err3)
+                         if err5 or err3 else 0.0)
+                if error < 1:
+                    factor = min(10, 0.9 * error ** -0.125) if error else 10
+                    h *= min(1, factor) if rejected else factor
+                    break
+                h *= max(0.2, 0.9 * error ** -0.125)
+                rejected = True
+                if h < min_step or not math.isfinite(error):
+                    raise MathError("holonomy transport failed at t = %.6g: "
+                                    "no step meets the tolerance" % t)
+            t, y, f = t_new, y_new, slope(t_new, y_new)
+    except (OverflowError, ZeroDivisionError):
+        raise MathError("holonomy transport failed at t = %.6g: the leaf "
+                        "lift overflows" % t) from None
+    return y
+
+
+def holonomy_by_sum(omega: OneForm2, center, radius, samples):
+    """``holonomy.numeric_holonomy`` on valid input with a loop clear of
+    the divisor's singularities: the leaf-lift slope sums a and b with a
+    ``sum`` over a generator, and ``dop853_by_dot`` steps it."""
+    ring = omega.ring
+    a_terms, b_terms = ([(i, j, complex(ring.to_complex(c)))
+                         for (i, j), c in s.coeffs.items()]
+                        for s in (omega.a, omega.b))
+    c0, r, two_pi_i = complex(center), float(radius), 2j * cmath.pi
+
+    def value(terms, xv, zv):
+        return sum(c * xv ** i * zv ** j for i, j, c in terms)
+
+    def slope(t, xv):
+        turn = cmath.exp(two_pi_i * t)
+        z = c0 + r * turn
+        av = value(a_terms, xv, z)
+        if av == 0:
+            raise MathError("leaf lift hit a zero of the dx-coefficient")
+        return -(value(b_terms, xv, z) / av) * (two_pi_i * r * turn)
+
+    return [mpmath.mpc(dop853_by_dot(slope, complex(x0),
+                                     1e-14 * max(1.0, abs(complex(x0)))))
+            for x0 in samples]
