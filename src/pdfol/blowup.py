@@ -146,10 +146,8 @@ def recenter(omega: OneForm2, z0) -> OneForm2:
     order = omega.order
     ex = Series2(ring, omega.variables, order, {(1, 0): 1})
     ey = Series2(ring, omega.variables, order, {(0, 1): 1, (0, 0): z0})
-    cache = {}
     try:
-        return OneForm2(omega.a.substitute(ex, ey, cache),
-                        omega.b.substitute(ex, ey, cache))
+        return OneForm2(omega.a.substitute(ex, ey), omega.b.substitute(ex, ey))
     except PrecisionError as exc:
         raise PrecisionError("recenter at z = %s, order %d: %s"
                              % (ring.format_coeff(z0), order, exc)) from exc

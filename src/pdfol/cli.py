@@ -132,15 +132,22 @@ def _inputs(args):
                        if not n.startswith("."))
         if not names:
             raise InputError("no input files in %r" % args.input)
-        out = []
-        for name in names:
-            with open(os.path.join(args.input, name), encoding="utf-8") as fh:
-                out.append((name, fh.read().strip()))
-        return out
+        return [(name, _read(os.path.join(args.input, name)))
+                for name in names]
     if not os.path.exists(args.input):
         raise InputError("no such input file: %r" % args.input)
-    with open(args.input, encoding="utf-8") as fh:
-        return [(os.path.basename(args.input), fh.read().strip())]
+    return [(os.path.basename(args.input), _read(args.input))]
+
+
+def _read(path):
+    """The stripped UTF-8 text of ``path``; InputError naming it when it
+    cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError("cannot read input %r: %s" % (path, reason)) from exc
 
 
 def _parse(args, text):

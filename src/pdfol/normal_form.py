@@ -88,9 +88,8 @@ def to_fibered_field(omega: OneForm2, m: int, order: int) -> FiberedField:
         ex = Series2(ring, variables, order + 1, {(1, 0): 1})
         ey = Series2(ring, variables, order + 1,
                      {(0, 1): 1, (1, 0): ring.neg(gamma)})
-        cache = {}
-        b_t = b_t.substitute(ex, ey, cache)
-        a_t = a_t.substitute(ex, ey, cache) - b_t.scale(gamma)
+        b_t = b_t.substitute(ex, ey)
+        a_t = a_t.substitute(ex, ey) - b_t.scale(gamma)
     u = b_t.divide_monomial((1, 0))
     mzu = _times(u, order, [((i, j + 1), c, m)
                             for (i, j), c in u.coeffs.items()], u.truncated)

@@ -283,7 +283,10 @@ class InputExpression:
 def parse_expr(text: str, mode: str = "exact", order: int = 24,
                precision=None) -> InputExpression:
     ring = _ring_for_mode(mode, precision)
-    form = _Parser(text, ring, order).run()
+    try:
+        form = _Parser(text, ring, order).run()
+    except RecursionError:
+        raise InputError("expression nests too deeply") from None
     return InputExpression(text, form, mode, order)
 
 

@@ -2,7 +2,7 @@
 
 One implementation serves both arities.  ``_Series`` holds every
 operation the two share: construction, equality, text, ring arithmetic,
-truncation, derivatives, division by monomials and units, and the one
+truncation, derivatives, division by monomials, unit inverses and the one
 substitution loop behind ``Series1.compose`` and ``Series2.substitute``.
 A subclass holds only its monomial-key convention and the operations
 that make sense for its own arity:
@@ -34,7 +34,7 @@ import math
 import operator
 from functools import partialmethod
 
-from .errors import MathError, NotInvertibleError, PrecisionError
+from .errors import MathError, PrecisionError
 
 INF = math.inf
 
@@ -92,10 +92,6 @@ class _Series:
     @classmethod
     def zero(cls, ring, variables, order):
         return cls(ring, variables, order)
-
-    @classmethod
-    def constant(cls, ring, variables, order, value):
-        return cls(ring, variables, order, {cls._CONSTANT: value})
 
     @classmethod
     def monomial(cls, ring, variables, order, exponents, value=1):
@@ -224,8 +220,6 @@ class _Series:
     def scale(self, value):
         ring = self.ring
         value = ring.coerce(value)
-        if ring.is_zero(value):
-            return self._like(self.order, {}, self.truncated)
         acc = {k: ring.mul(v, value) for k, v in self.coeffs.items()}
         acc = {k: v for k, v in acc.items() if not ring.is_zero(v)}
         return self._like(self.order, acc, self.truncated)
@@ -309,35 +303,24 @@ class _Series:
         # a nonconstant unit has an infinite inverse: the result is truncated
         return self._like(self.order, inv, True)
 
-    def divide(self, divisor):
-        """Division by a unit series or by a monomial."""
-        self._check_compat(divisor)
-        if len(divisor.coeffs) == 1:
-            (key, c), = divisor.coeffs.items()
-            return self.divide_monomial(key).scale(self.ring.invert(c))
-        if divisor.is_zero():
-            raise NotInvertibleError("division by the zero series")
-        return self * divisor.inverse_unit()
-
     # ------------------------------------------------------------------
     # substitution
 
-    def _substitute(self, images, cache):
+    def _substitute(self, images):
         """Evaluate the series with variable n replaced by ``images[n]``.
 
-        Each image's powers are built once, before the term loop, and
-        only those the terms read.  ``cache[n]`` maps an exponent to its
-        power of ``images[n]`` and keeps them between calls that share
-        the images.  image^1 is the image cut at the least image order;
-        the exponents read are built in ascending order as
-        image^e = image^d * image^(e-d), with d the largest exponent built
-        below e and image^(e-d) built first the same way.  Exponents
-        1..E with no gaps so take the products image^(e-1) * image of a
-        dense ladder, and no exponent takes more products than there.
-        An image that is exactly its own variable (one key, coefficient
-        ``== ring.one``) builds no powers: its power only shifts the keys
-        of the other factors' product.  The ring's ``combine`` then sums
-        c*x^shift*product over the terms."""
+        Each image's powers are built once per call, before the term
+        loop, and only those the terms read.  image^1 is the image cut at
+        the least image order; the exponents read are built in ascending
+        order as image^e = image^d * image^(e-d), with d the largest
+        exponent built below e and image^(e-d) built first the same way.
+        Exponents 1..E with no gaps so take the products
+        image^(e-1) * image of a dense ladder, and no exponent takes more
+        products than there.  An image that is exactly its own variable
+        (one key, coefficient ``== ring.one``) builds no powers: its power
+        only shifts the keys of the other factors' product.  The ring's
+        ``combine`` then sums c*x^shift*product over the terms, and cuts
+        (and flags) what lies above the order."""
         first = images[0]
         if not isinstance(first, type(self)):
             raise TypeError("expected a %s operand" % type(self).__name__)
@@ -345,42 +328,23 @@ class _Series:
         if first.ring != self.ring:
             raise ValueError("mixed coefficient rings in " + what)
         ring = self.ring
-        valuations = [s.valuation() for s in images]
         # an image with a constant term sends every discarded term down
         # to the low degrees, whether or not a stored term uses it
-        if self.truncated and 0 in valuations:
+        if self.truncated and any(s.valuation() == 0 for s in images):
             raise PrecisionError(unsafe)
         low = min(s.order for s in images)
         order = min(self.order, low)
-        if cache is None:
-            cache = {}
-        ladders = [cache.setdefault(n, {}) for n in range(len(images))]
         # native ==, not ring.eq: a float 1 + 1e-12 must still multiply
         bare = [image.coeffs == {var: ring.one}
                 for image, var in zip(images, self._VARIABLES)]
         exponents_of, key_of = self._exponents, self._key
-        kept = []
         dropped = self.truncated or any(s.truncated for s in images)
-        for key, c in self.coeffs.items():
-            exponents = exponents_of(key)
-            floor = 0
-            for e, v, image in zip(exponents, valuations, images):
-                if e:
-                    if v is INF:  # a power of zero: the term vanishes
-                        floor = None
-                        dropped = dropped or image.truncated
-                        break
-                    floor += e * v
-            if floor is None:
-                continue
-            if floor > order:
-                dropped = True
-                continue
-            kept.append((exponents, c))
+        stored = [(exponents_of(key), c) for key, c in self.coeffs.items()]
+        ladders = [{} for _ in images]
         for n, (image, ladder, b) in enumerate(zip(images, ladders, bare)):
             if b:  # a bare variable's power is a key shift
                 continue
-            for e in sorted({exponents[n] for exponents, _ in kept} - {0}):
+            for e in sorted({exponents[n] for exponents, _ in stored} - {0}):
                 if not ladder:
                     ladder[1] = image.truncate(low)
                 pending = [] if e in ladder else [e]
@@ -393,7 +357,7 @@ class _Series:
                         pending.append(e - d)
         one = first._like(low, {first._CONSTANT: ring.coerce(1)}, False)
         terms = []
-        for exponents, c in kept:
+        for exponents, c in stored:
             prod = one
             for e, ladder, b in zip(exponents, ladders, bare):
                 # a factor image^0 = 1 would only copy prod
@@ -443,19 +407,17 @@ class Series2(_Series):
     _sub_keys = staticmethod(lambda a, b: (a[0] - b[0], a[1] - b[1]))
     _monomials = staticmethod(lambda d: [(i, d - i) for i in range(d, -1, -1)])
 
-    def substitute(self, ex: "Series2", ey: "Series2", cache=None) -> "Series2":
+    def substitute(self, ex: "Series2", ey: "Series2") -> "Series2":
         """Evaluate the series at (ex, ey).
 
         Legal when both substituents have positive valuation, or when the
         series is an exact polynomial (``truncated`` is False); otherwise
         low-order coefficients of the result would depend on discarded
-        terms and PrecisionError is raised.
-
-        ``cache`` may be a dict shared between calls that use the same
-        (ex, ey) pair; it stores the power ladders.
+        terms and PrecisionError is raised.  Each call builds its own
+        powers of ex and ey.
         """
         ex._check_compat(ey)
-        return self._substitute((ex, ey), cache)
+        return self._substitute((ex, ey))
 
     def min_exponent(self, index: int):
         """Smallest exponent of one variable across the support; INF if zero."""
@@ -507,7 +469,7 @@ class Series1(_Series):
     def compose(self, inner: "Series1") -> "Series1":
         """self(inner); inner must have positive valuation unless self is
         an exact polynomial."""
-        return self._substitute((inner,), None)
+        return self._substitute((inner,))
 
     def reversion(self) -> "Series1":
         """Compositional inverse of a series with h(0) = 0, h'(0) a unit.

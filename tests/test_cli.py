@@ -495,6 +495,34 @@ def test_input_file_and_directory(tmp_path):
     assert isinstance(docs, list) and len(docs) == 2
 
 
+@pytest.mark.parametrize("layout",
+                         ["subdirectory", "file", "file in directory"])
+def test_unreadable_input_is_input_error(tmp_path, layout):
+    """A subdirectory of an input directory, and bytes that are not UTF-8,
+    exit 2 naming the path, not with a traceback."""
+    (tmp_path / "one.txt").write_text(SADDLE_EXPR + "\n", encoding="utf-8")
+    bad = tmp_path / "two.txt"
+    if layout == "subdirectory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe dx")
+    path = bad if layout == "file" else tmp_path
+    code, out, err = run(["classify", "--input", str(path)])
+    assert (code, out) == (2, ""), layout
+    assert err.startswith("error[input]: cannot read input %r" % str(bad))
+
+
+def test_deep_nesting_is_input_error():
+    deep = "(" * 1000 + "dx" + ")" * 1000
+    code, out, err = run(["classify", "--expr", deep])
+    assert (code, out) == (2, "")
+    assert err == "error[input]: expression nests too deeply\n"
+    with pytest.raises(InputError, match="nests too deeply"):
+        parse_expr(deep)
+    assert dict(parse_expr("(" * 100 + "dx" + ")" * 100).form.a.coeffs) \
+        == {(0, 0): rational(1)}
+
+
 # ----------------------------------------------------------------- report
 
 

@@ -82,9 +82,7 @@ def recenter_z(omega, z0):
     ex = Series2(ring, omega.variables, order, {(1, 0): 1})
     ey = Series2(ring, omega.variables, order,
                  {(0, 1): 1, (0, 0): ring.coerce(z0)})
-    cache = {}
-    return OneForm2(omega.a.substitute(ex, ey, cache),
-                    omega.b.substitute(ex, ey, cache))
+    return OneForm2(omega.a.substitute(ex, ey), omega.b.substitute(ex, ey))
 
 
 def test_linear_part_at_recentered_root():

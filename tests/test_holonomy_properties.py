@@ -72,7 +72,7 @@ def test_reversion_is_two_sided_inverse(case):
         assert g.order == order
         # a linear map has an exact inverse
         assert g.truncated == (truncated or bool(tail))
-        shifted = h + Series1.constant(ring, "x", order, 1)
+        shifted = h + Series1.monomial(ring, "x", order, 0)
         with pytest.raises(MathError):
             shifted.reversion()
         with pytest.raises(NotInvertibleError):

@@ -134,14 +134,14 @@ def test_unit_division_random_roundtrip():
         u = random_series2(rng, order=7, terms=4)
         u = u + s2({(0, 0): rng.randint(1, 5)}, order=7)
         s = random_series2(rng, order=7, terms=4)
-        q = s.divide(u)
+        q = s * u.inverse_unit()
         assert q * u == s.truncate(q.order)
 
 
 def test_divide_nonunit_raises():
     s = s2({(0, 0): 1})
     with pytest.raises(NotInvertibleError):
-        s.divide(s2({(1, 0): 1, (0, 1): 1}))
+        s * s2({(1, 0): 1, (0, 1): 1}).inverse_unit()
 
 
 def test_substitute_affine_shift():
@@ -169,8 +169,7 @@ def test_substitute_homomorphism_random():
     for _ in range(30):
         a = random_series2(rng, order=8, terms=4)
         b = random_series2(rng, order=8, terms=4)
-        cache = {}
-        sub = lambda t: t.substitute(x, ey, cache)
+        sub = lambda t: t.substitute(x, ey)
         assert sub(a * b) == sub(a) * sub(b)
         assert sub(a + b) == sub(a) + sub(b)
 
@@ -274,8 +273,6 @@ def test_mixed_arity_operands_raise_type_error():
         one + two
     with pytest.raises(TypeError, match="expected a Series2 operand"):
         two * one
-    with pytest.raises(TypeError):
-        two.divide(one)
     with pytest.raises(TypeError):
         one.compose(two)
     with pytest.raises(TypeError):

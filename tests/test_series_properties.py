@@ -14,8 +14,8 @@ from pdfol.blowup import recenter
 from pdfol.forms import OneForm2, PlaneVectorField, cs_index, dual
 from pdfol.rings import ComplexApprox, ParamPolyRing, RationalExact, rational
 from pdfol.series import Series1, Series2
-from util import (SPECS, inverse_unit_by_dot, product_by_pairs, raw,
-                  spec_value)
+from util import (PRIMES, SPECS, inverse_unit_by_dot, product_by_pairs,
+                  raw, spec_value)
 
 QQ = RationalExact()
 CC = ComplexApprox()
@@ -100,7 +100,7 @@ def test_series1_unit_times_inverse_is_one(case):
     order, u0, tail, truncated = case
     for ring in RINGS:
         u = build1(ring, order, u0, tail, truncated)
-        check_inverse(u, Series1.constant(ring, "z", order, 1),
+        check_inverse(u, Series1.monomial(ring, "z", order, 0),
                       build1(ring, order, None, tail, truncated))
 
 
@@ -110,7 +110,7 @@ def test_series2_unit_times_inverse_is_one(case):
     order, u0, tail, truncated = case
     for ring in RINGS:
         u = build2(ring, order, u0, tail, truncated)
-        check_inverse(u, Series2.constant(ring, XZ, order, 1),
+        check_inverse(u, Series2.monomial(ring, XZ, order, (0, 0)),
                       build2(ring, order, None, tail, truncated))
 
 
@@ -135,10 +135,9 @@ def cs_index_full_order(field, z0):
     ring, order = field.ring, field.p2.order
     x = Series2.monomial(ring, field.variables, order, (1, 0))
     shift = Series2(ring, field.variables, order, {(0, 1): 1, (0, 0): z0})
-    cache = {}
-    p1 = field.p1.substitute(x, shift, cache)
+    p1 = field.p1.substitute(x, shift)
     ptilde0 = p1.divide_monomial((1, 0)).restrict_first_zero()
-    q0 = field.p2.substitute(x, shift, cache).restrict_first_zero()
+    q0 = field.p2.substitute(x, shift).restrict_first_zero()
     s = q0.valuation()
     unit = q0.divide_monomial(s)
     return (ptilde0 * unit.inverse_unit()).coefficient(s - 1)
@@ -234,7 +233,6 @@ def test_one_and_two_variables_agree(case):
                                 lambda: a2.divide_monomial((0, k))),
             "inverse_unit": (lambda: a1.inverse_unit(),
                              lambda: a2.inverse_unit()),
-            "divide": (lambda: a1.divide(b1), lambda: a2.divide(b2)),
             "compose": (lambda: a1.compose(t1), lambda: a2.substitute(x, t2)),
         }
         for name, (one_variable, two_variables) in pairs.items():
@@ -255,25 +253,23 @@ def substitute_by_products(series, images, one):
     """The substitution with every power formed by explicit pairwise
     products (``util.product_by_pairs``): image^e is e products from
     ``one``, a term's nonconstant factors multiply in variable order, and
-    each product's terms merge in its own order.  ``series`` keys are
-    exponent tuples or ints."""
+    each product's terms merge in its own order.  Every product is formed
+    at the least image order and cut at the result's order, so a term of
+    degree past that order only flags the result, and a power of a zero
+    image is empty with that image's flag.  ``series`` keys are exponent
+    tuples or ints."""
     ring = series.ring
     terms = [(key if isinstance(key, tuple) else (key,), c)
              for key, c in series.coeffs.items()]
-    if series.truncated and any(
-            e and image.valuation() == 0
-            for exponents, _ in terms for e, image in zip(exponents, images)):
+    # discarded terms may use any variable, so a truncated series refuses
+    # every valuation-0 image, whether or not a stored term reads it
+    if series.truncated and any(image.valuation() == 0 for image in images):
         raise PrecisionError("a valuation-0 image of a truncated series")
     order = min(series.order, *(image.order for image in images))
     dropped = series.truncated or any(image.truncated for image in images)
     acc = {}
     for exponents, c in terms:
         factors = [(e, image) for e, image in zip(exponents, images) if e]
-        if any(image.is_zero() for _, image in factors):
-            continue  # a power of zero: the term vanishes
-        if sum(e * image.valuation() for e, image in factors) > order:
-            dropped = True
-            continue
         prod = one
         for e, image in factors:
             power = one
@@ -361,6 +357,32 @@ def same_substitution(got, want, where):
 @example(((4, None, {(1, 0): ([0, 1], 0), (0, 1): ([0, 1], 0)}, False),
           ("bare", 4, False, None, {}),
           ("series", 4, False, None, {(0, 1): ([1], 0), (1, 0): ([-1], 0)})))
+# a truncated series refuses a valuation-0 image that no stored term reads
+@example(((0, None, {}, True),
+          ("series", 0, False, rational(1, 2), {(1, 0): ([1], 0)}),
+          ("bare", 0, False, None, {})))
+# x -> x^2 on x*z^3: its least degree 5 exceeds the order 4, so every
+# product is cut, with z bare and with z -> z - x
+@example(((4, None, {(1, 3): ([1], 0), (0, 1): ([2], 0)}, False),
+          ("series", 4, False, None, {(2, 0): ([1], 0)}),
+          ("bare", 4, False, None, {})))
+@example(((4, None, {(1, 3): ([1], 0), (0, 1): ([2], 0)}, False),
+          ("series", 4, False, None, {(2, 0): ([1], 0)}),
+          ("series", 4, False, None, {(0, 1): ([1], 0), (1, 0): ([-1], 0)})))
+# a zero x image: its powers are empty and carry its flag
+@example(((4, rational(3), {(1, 0): ([1], 0), (1, 2): ([1], 0),
+                            (0, 2): ([5], 0)}, False),
+          ("series", 4, False, None, {}), ("bare", 4, False, None, {})))
+@example(((4, rational(3), {(1, 0): ([1], 0), (1, 2): ([1], 0),
+                            (0, 2): ([5], 0)}, False),
+          ("series", 4, True, None, {}), ("bare", 4, False, None, {})))
+# x -> c*x^2, c = 10^4/p about 1e-5, on x^2 at order 2: the power past
+# the order is c^2*x^4, which the float ring reads as zero, as it would
+# within the order, so only the exact and param results are flagged
+@example(((2, None, {(2, 0): ([1], 0)}, False),
+          ("series", 4, False, None,
+           {(2, 0): ([rational(10 ** 4, PRIMES[2])], 0)}),
+          ("bare", 4, False, None, {})))
 def test_bare_variable_images_shift_keys(case):
     """A substitution whose image is its own variable gives what explicit
     pairwise products of the power ladders give: the same coefficients
@@ -372,7 +394,8 @@ def test_bare_variable_images_shift_keys(case):
         s = build2(ring, *series_data)
         images = (build_image(ring, x_data, (1, 0), build2),
                   build_image(ring, z_data, (0, 1), build2))
-        one = Series2.constant(ring, XZ, min(i.order for i in images), 1)
+        one = Series2.monomial(ring, XZ, min(i.order for i in images),
+                               (0, 0))
         same_substitution(outcome(lambda: s.substitute(*images)),
                           outcome(lambda: substitute_by_products(
                               s, images, one)), ring.name)
@@ -384,7 +407,7 @@ def test_bare_variable_images_shift_keys(case):
         img_tail = {i + j: t for (i, j), t in img_tail.items()}
         inner = build_image(ring, (kind, img_order, img_truncated, constant,
                                    img_tail), 1, build1)
-        one1 = Series1.constant(ring, "z", inner.order, 1)
+        one1 = Series1.monomial(ring, "z", inner.order, 0)
         same_substitution(outcome(lambda: s1.compose(inner)),
                           outcome(lambda: substitute_by_products(
                               s1, (inner,), one1)), ring.name)
@@ -437,7 +460,7 @@ def test_gapped_powers_match_the_dense_ladder(case):
     for ring in RINGS:
         s = build1(ring, *series_data)
         inner = build1(ring, *image_data)
-        one = Series1.constant(ring, "z", inner.order, 1)
+        one = Series1.monomial(ring, "z", inner.order, 0)
         got = s.compose(inner)
         want = substitute_by_products(s, (inner,), one)
         order = min(s.order, inner.order)

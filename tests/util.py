@@ -249,7 +249,7 @@ def normalize_by_products(X, N):
     by full products: with a the dense tail X.a/X.u and rest = a + a*phi_z
     kept as a whole series, each phi_k comes from the degree-k terms of
     rest, and then rest = rest + a * (phi_k)_z, a product at order N."""
-    m, a, ring = X.m, X.a.divide(X.u).truncate(N), X.ring
+    m, a, ring = X.m, (X.a * X.u.inverse_unit()).truncate(N), X.ring
     phi = {}
     rest = a
     epsilon = ring.zero
@@ -300,11 +300,10 @@ def apply_fibered(m: int, a: Series2, phi: Series2, order: int) -> Series2:
     psi = invert_fiber(phi, order)
     ex = Series2(ring, variables, order, {(1, 0): 1})
     z = Series2(ring, variables, order, {(0, 1): 1})
-    cache = {}
-    a_at = _at_order(a, order).substitute(ex, psi, cache)
-    xphix_at = _x_dx(phi, order).substitute(ex, psi, cache)
-    phiz_at = _dz(phi, order).substitute(ex, psi, cache)
-    one = Series2.constant(ring, variables, order, 1)
+    a_at = _at_order(a, order).substitute(ex, psi)
+    xphix_at = _x_dx(phi, order).substitute(ex, psi)
+    phiz_at = _dz(phi, order).substitute(ex, psi)
+    one = Series2.monomial(ring, variables, order, (0, 0))
     flow = psi.scale(ring.coerce(m)) + a_at
     return xphix_at + (one + phiz_at) * flow - z.scale(ring.coerce(m))
 
