@@ -134,8 +134,6 @@ def _inputs(args):
             raise InputError("no input files in %r" % args.input)
         return [(name, _read(os.path.join(args.input, name)))
                 for name in names]
-    if not os.path.exists(args.input):
-        raise InputError("no such input file: %r" % args.input)
     return [(os.path.basename(args.input), _read(args.input))]
 
 

@@ -309,18 +309,21 @@ class _Series:
     def _substitute(self, images):
         """Evaluate the series with variable n replaced by ``images[n]``.
 
-        Each image's powers are built once per call, before the term
-        loop, and only those the terms read.  image^1 is the image cut at
-        the least image order; the exponents read are built in ascending
-        order as image^e = image^d * image^(e-d), with d the largest
-        exponent built below e and image^(e-d) built first the same way.
-        Exponents 1..E with no gaps so take the products
-        image^(e-1) * image of a dense ladder, and no exponent takes more
-        products than there.  An image that is exactly its own variable
-        (one key, coefficient ``== ring.one``) builds no powers: its power
-        only shifts the keys of the other factors' product.  The ring's
-        ``combine`` then sums c*x^shift*product over the terms, and cuts
-        (and flags) what lies above the order."""
+        A term whose products all lie past the order only flags the
+        result, and a term with a power of a zero image vanishes; neither
+        enters a ladder, so the powers the other terms read are formed as
+        without them.  Each image's powers are built once per call,
+        before the term loop, and only those the kept terms read.
+        image^1 is the image cut at the least image order; the exponents
+        read are built in ascending order as image^e = image^d *
+        image^(e-d), with d the largest exponent built below e and
+        image^(e-d) built first the same way.  Exponents 1..E with no
+        gaps so take the products image^(e-1) * image of a dense ladder,
+        and no exponent takes more products than there.  An image that is
+        exactly its own variable (one key, coefficient ``== ring.one``)
+        builds no powers: its power only shifts the keys of the other
+        factors' product.  The ring's ``combine`` then sums
+        c*x^shift*product over the terms."""
         first = images[0]
         if not isinstance(first, type(self)):
             raise TypeError("expected a %s operand" % type(self).__name__)
@@ -328,9 +331,10 @@ class _Series:
         if first.ring != self.ring:
             raise ValueError("mixed coefficient rings in " + what)
         ring = self.ring
+        valuations = [s.valuation() for s in images]
         # an image with a constant term sends every discarded term down
         # to the low degrees, whether or not a stored term uses it
-        if self.truncated and any(s.valuation() == 0 for s in images):
+        if self.truncated and 0 in valuations:
             raise PrecisionError(unsafe)
         low = min(s.order for s in images)
         order = min(self.order, low)
@@ -339,12 +343,20 @@ class _Series:
                 for image, var in zip(images, self._VARIABLES)]
         exponents_of, key_of = self._exponents, self._key
         dropped = self.truncated or any(s.truncated for s in images)
-        stored = [(exponents_of(key), c) for key, c in self.coeffs.items()]
+        kept = []
+        for key, c in self.coeffs.items():
+            exponents = exponents_of(key)
+            # least degree of the products; INF for a power of a zero image
+            floor = sum(e * v for e, v in zip(exponents, valuations) if e)
+            if floor <= order:
+                kept.append((exponents, c))
+            elif floor < INF:
+                dropped = True
         ladders = [{} for _ in images]
         for n, (image, ladder, b) in enumerate(zip(images, ladders, bare)):
             if b:  # a bare variable's power is a key shift
                 continue
-            for e in sorted({exponents[n] for exponents, _ in stored} - {0}):
+            for e in sorted({exponents[n] for exponents, _ in kept} - {0}):
                 if not ladder:
                     ladder[1] = image.truncate(low)
                 pending = [] if e in ladder else [e]
@@ -357,7 +369,7 @@ class _Series:
                         pending.append(e - d)
         one = first._like(low, {first._CONSTANT: ring.coerce(1)}, False)
         terms = []
-        for exponents, c in stored:
+        for exponents, c in kept:
             prod = one
             for e, ladder, b in zip(exponents, ladders, bare):
                 # a factor image^0 = 1 would only copy prod

@@ -495,18 +495,19 @@ def test_input_file_and_directory(tmp_path):
     assert isinstance(docs, list) and len(docs) == 2
 
 
-@pytest.mark.parametrize("layout",
-                         ["subdirectory", "file", "file in directory"])
+@pytest.mark.parametrize("layout", ["subdirectory", "file",
+                                    "file in directory", "missing file"])
 def test_unreadable_input_is_input_error(tmp_path, layout):
-    """A subdirectory of an input directory, and bytes that are not UTF-8,
-    exit 2 naming the path, not with a traceback."""
+    """A subdirectory of an input directory, bytes that are not UTF-8 and
+    a file that is not there exit 2 naming the path, not with a
+    traceback."""
     (tmp_path / "one.txt").write_text(SADDLE_EXPR + "\n", encoding="utf-8")
     bad = tmp_path / "two.txt"
     if layout == "subdirectory":
         bad.mkdir()
-    else:
+    elif layout != "missing file":
         bad.write_bytes(b"\xff\xfe dx")
-    path = bad if layout == "file" else tmp_path
+    path = tmp_path if layout in ("subdirectory", "file in directory") else bad
     code, out, err = run(["classify", "--input", str(path)])
     assert (code, out) == (2, ""), layout
     assert err.startswith("error[input]: cannot read input %r" % str(bad))

@@ -253,11 +253,8 @@ def substitute_by_products(series, images, one):
     """The substitution with every power formed by explicit pairwise
     products (``util.product_by_pairs``): image^e is e products from
     ``one``, a term's nonconstant factors multiply in variable order, and
-    each product's terms merge in its own order.  Every product is formed
-    at the least image order and cut at the result's order, so a term of
-    degree past that order only flags the result, and a power of a zero
-    image is empty with that image's flag.  ``series`` keys are exponent
-    tuples or ints."""
+    each product's terms merge in its own order.  ``series`` keys are
+    exponent tuples or ints."""
     ring = series.ring
     terms = [(key if isinstance(key, tuple) else (key,), c)
              for key, c in series.coeffs.items()]
@@ -270,6 +267,11 @@ def substitute_by_products(series, images, one):
     acc = {}
     for exponents, c in terms:
         factors = [(e, image) for e, image in zip(exponents, images) if e]
+        if any(image.is_zero() for _, image in factors):
+            continue  # a power of zero: the term vanishes
+        if sum(e * image.valuation() for e, image in factors) > order:
+            dropped = True
+            continue
         prod = one
         for e, image in factors:
             power = one
@@ -361,8 +363,8 @@ def same_substitution(got, want, where):
 @example(((0, None, {}, True),
           ("series", 0, False, rational(1, 2), {(1, 0): ([1], 0)}),
           ("bare", 0, False, None, {})))
-# x -> x^2 on x*z^3: its least degree 5 exceeds the order 4, so every
-# product is cut, with z bare and with z -> z - x
+# x -> x^2 on x*z^3: its least degree 5 exceeds the order 4, so the term
+# only flags the result, with z bare and with z -> z - x
 @example(((4, None, {(1, 3): ([1], 0), (0, 1): ([2], 0)}, False),
           ("series", 4, False, None, {(2, 0): ([1], 0)}),
           ("bare", 4, False, None, {})))
@@ -376,13 +378,25 @@ def same_substitution(got, want, where):
 @example(((4, rational(3), {(1, 0): ([1], 0), (1, 2): ([1], 0),
                             (0, 2): ([5], 0)}, False),
           ("series", 4, True, None, {}), ("bare", 4, False, None, {})))
-# x -> c*x^2, c = 10^4/p about 1e-5, on x^2 at order 2: the power past
-# the order is c^2*x^4, which the float ring reads as zero, as it would
-# within the order, so only the exact and param results are flagged
+# x^5*z under a zero z image vanishes without building x^5, whose
+# ladder would run past the order and flag the result
+@example(((8, None, {(5, 1): ([1], 0)}, False),
+          ("series", 5, False, None, {(3, 1): ([1], 0)}),
+          ("series", 9, False, None, {})))
+# x -> c*x^2, c = 10^4/p about 1e-5, on x^2 at order 2: the float ring
+# reads the power c^2*x^4 as zero, but the term's least degree 4 still
+# flags the result in every ring
 @example(((2, None, {(2, 0): ([1], 0)}, False),
           ("series", 4, False, None,
            {(2, 0): ([rational(10 ** 4, PRIMES[2])], 0)}),
           ("bare", 4, False, None, {})))
+# x^4*z^2 lies past the order 8 under x -> x^3, so z^4 takes the dense
+# ladder z^3 * z, not z^2 * z^2, and its float sums keep their bits
+@example(((8, None, {(0, 4): ([rational(245, 13)], 0), (4, 2): ([1], 0)},
+           False),
+          ("series", 8, False, None, {(3, 0): ([1], 0)}),
+          ("series", 8, False, None,
+           {(0, 1): ([rational(-6, 11)], 0), (0, 3): ([115], 0)})))
 def test_bare_variable_images_shift_keys(case):
     """A substitution whose image is its own variable gives what explicit
     pairwise products of the power ladders give: the same coefficients
