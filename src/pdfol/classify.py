@@ -44,6 +44,11 @@ def verdict_dicritical(order: int) -> str:
     return "Dicritical-to-order-%d" % order
 
 
+def _verdict(value, ring, order: int) -> str:
+    """GPD when the decisive value is nonzero, else dicritical to order."""
+    return verdict_dicritical(order) if ring.is_zero(value) else VERDICT_GPD
+
+
 def default_order(p: int, m: int) -> int:
     """Truncation order giving the decision plus a margin of checks."""
     return 2 * p + m + 8
@@ -208,9 +213,7 @@ def gpd_detect(p: int, alpha) -> Optional[GPDRoots]:
 class DichotomyResult:
     """Outcome of one dicritical-vs-Poincare-Dulac test."""
     verdict: str
-    method: str
     m: int
-    order: int
     epsilon: object = None
     decisive: object = None
     normalization: object = None
@@ -258,10 +261,7 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
         order = max(N, m)
         field = to_fibered_field(omega_local, m, order=order)
         res = normalize(field, order)
-        if not ring.is_zero(res.epsilon):
-            return DichotomyResult(VERDICT_GPD, method, m, N,
-                                   epsilon=res.epsilon, normalization=res)
-        return DichotomyResult(verdict_dicritical(N), method, m, N,
+        return DichotomyResult(_verdict(res.epsilon, ring, N), m,
                                epsilon=res.epsilon, normalization=res)
     if method == "chain":
         current = omega_local
@@ -280,10 +280,7 @@ def pd_vs_dicritical(omega_local: OneForm2, method: str,
             exc.args = ("chain blow-up %d of %d: %s" % (i, m - 1, exc),)
             raise
         decisive = jordan[1][0]
-        if not ring.is_zero(decisive):
-            return DichotomyResult(VERDICT_GPD, method, m, N,
-                                   decisive=decisive)
-        return DichotomyResult(verdict_dicritical(N), method, m, N,
+        return DichotomyResult(_verdict(decisive, ring, N), m,
                                decisive=decisive)
     raise InputError("unknown method %r; use homological or chain" % (method,))
 

@@ -23,9 +23,9 @@ from .classify import analyze, gpd_condition, gpd_detect
 from .errors import InputError, MathError, PdfolError, PrecisionError
 from .forms import cs_index, dual, report_at
 from .holonomy import dichotomy, numeric_holonomy, pd_holonomy_model, sz_lambda
-from .parser import parse_expr
+from .parser import _ring_for_mode, parse_expr
 from .report import canonical_bytes, document, encode, render
-from .rings import ComplexApprox, format_rational, rational
+from .rings import format_rational, rational
 
 ERROR_CODES = {2: "input", 3: "math", 4: "precision"}
 
@@ -40,38 +40,39 @@ def _parser() -> argparse.ArgumentParser:
     shared.add_argument("--expr", help="1-form expression text")
     shared.add_argument("--input", help="expression file, or a directory "
                         "of one-expression files")
-    shared.add_argument("--mode", default="exact",
-                        help="exact | float | param:NAME")
     shared.add_argument("--order", type=int, default=None,
                         help="truncation order (default FF_ORDER, then "
                         "2p+m+8 when p, m are known, else 24)")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", default="exact",
+                      help="exact | float | param:NAME")
 
     top = argparse.ArgumentParser(prog="pdfol", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classify", parents=[shared],
+    sub.add_parser("classify", parents=[shared, mode],
                    help="Takens case, saddle subcase, resonance data, "
                    "and the dicritical/Poincare-Dulac verdict")
 
-    blow = sub.add_parser("blowup", parents=[shared],
+    blow = sub.add_parser("blowup", parents=[shared, mode],
                           help="blow up the origin repeatedly")
     blow.add_argument("--times", type=int, default=1)
     blow.add_argument("--chart", type=int, choices=(1, 2), default=None,
                       help="fix one chart instead of following the "
                       "singular points")
 
-    gpd = sub.add_parser("gpd", parents=[shared],
+    gpd = sub.add_parser("gpd", parents=[mode],
                          help="resonance arithmetic on (p, alpha) or (p, m)")
     gpd.add_argument("--p", type=int, required=True)
     gpd.add_argument("--alpha", help="rational or decimal text")
     gpd.add_argument("--m", type=int)
 
-    sub.add_parser("normal-form", parents=[shared],
+    sub.add_parser("normal-form", parents=[shared, mode],
                    help="reduce, then eliminate nonresonant terms "
                    "degree by degree")
 
-    hol = sub.add_parser("holonomy", parents=[shared],
+    hol = sub.add_parser("holonomy", parents=[shared, mode],
                          help="formal model or numeric loop transport")
     hol.add_argument("--formal", action="store_true")
     hol.add_argument("--numeric", action="store_true")
@@ -80,16 +81,15 @@ def _parser() -> argparse.ArgumentParser:
     hol.add_argument("--center", default="0")
     hol.add_argument("--samples", help="comma-separated start points")
 
-    csi = sub.add_parser("cs-index", parents=[shared],
+    csi = sub.add_parser("cs-index", parents=[shared, mode],
                          help="Camacho-Sad index along the divisor {x = 0}")
     csi.add_argument("--at", default="0", help="divisor point (rational)")
 
-    rep = sub.add_parser("report", parents=[shared],
+    rep = sub.add_parser("report", parents=[shared, mode],
                          help="full pipeline as one document")
     rep.add_argument("--json", action="store_true")
 
-    for p in [top, shared, blow, gpd, hol, csi, rep] + list(
-            sub.choices.values()):
+    for p in [top, shared, mode, *sub.choices.values()]:
         p._negative_number_matcher = _NEGATIVE_VALUE
     return top
 
@@ -164,55 +164,58 @@ def _as_fraction(text, what):
 
 
 def _fmt(value, ring):
-    if value is None:
-        return "none"
-    if hasattr(value, "numerator") and hasattr(value, "denominator"):
-        return format_rational(value)
-    if isinstance(value, (mpmath.mpf, mpmath.mpc, float, complex)):
+    """A ring element as text; a float one to 12 significant digits."""
+    if isinstance(value, mpmath.mpc):
         return mpmath.nstr(mpmath.mpc(value), 12)
     return ring.format_coeff(value)
+
+
+def _each(args, out, view):
+    """For each input, its ``== label ==`` header (under --input) and the
+    lines of ``view(expr)``.  A block is written once its view returns,
+    so a failing input ends the run after the blocks before it."""
+    for label, text in _inputs(args):
+        lines = view(_parse(args, text))
+        if label is not None:
+            out.write("== %s ==\n" % label)
+        out.writelines(line + "\n" for line in lines)
+    return 0
 
 
 # ------------------------------------------------------------- commands
 
 
 def _cmd_classify(args, out):
-    for label, text in _inputs(args):
-        expr = _parse(args, text)
+    def view(expr):
         rep = analyze(expr.form, N=_order(args))
-        if label is not None:
-            out.write("== %s ==\n" % label)
-        for key, value in rep.json(expr.form.ring).items():
-            out.write("%s: %s\n" % (key, value))
-    return 0
+        return ["%s: %s" % item for item in rep.json(expr.form.ring).items()]
+    return _each(args, out, view)
 
 
 def _cmd_blowup(args, out):
     if args.times < 1:
         raise InputError("--times must be >= 1")
-    for label, text in _inputs(args):
-        expr = _parse(args, text)
-        if label is not None:
-            out.write("== %s ==\n" % label)
-        if args.chart is not None:
-            step = blowup_chart1 if args.chart == 1 else blowup_chart2
-            current = expr.form
-            for k in range(args.times):
-                result = step(current)
-                out.write("step %d: chart %d, dicritical: %s\n"
-                          % (k + 1, args.chart, result.dicritical))
-                current = result.form
-            out.write("final: %s\n" % current.format())
-        else:
+
+    def view(expr):
+        if args.chart is None:
             path = blowup_chain(expr.form, args.times)
-            out.write("labels: %s\n" % " ".join(path.labels))
-            out.write("self-intersections: %s\n"
-                      % " ".join(str(s) for s in path.self_intersections))
-            out.write("final: %s\n" % path.final.format())
-    return 0
+            return ["labels: %s" % " ".join(path.labels),
+                    "self-intersections: %s"
+                    % " ".join(str(s) for s in path.self_intersections),
+                    "final: %s" % path.final.format()]
+        step = blowup_chart1 if args.chart == 1 else blowup_chart2
+        lines, current = [], expr.form
+        for k in range(args.times):
+            result = step(current)
+            lines.append("step %d: chart %d, dicritical: %s"
+                         % (k + 1, args.chart, result.dicritical))
+            current = result.form
+        return lines + ["final: %s" % current.format()]
+    return _each(args, out, view)
 
 
 def _cmd_gpd(args, out):
+    _ring_for_mode(args.mode)  # InputError on an unknown mode
     if args.p < 2:
         raise InputError("--p must be >= 2")
     if (args.alpha is None) == (args.m is None):
@@ -243,8 +246,7 @@ def _cmd_gpd(args, out):
 
 
 def _cmd_normal_form(args, out):
-    for label, text in _inputs(args):
-        expr = _parse(args, text)
+    def view(expr):
         N = _order(args)
         rep = analyze(expr.form, N=N)
         result = rep.normalization
@@ -256,25 +258,25 @@ def _cmd_normal_form(args, out):
             raise PrecisionError("normal form (m=%d, N=%d): order cannot "
                                  "reach the obstruction at degree m"
                                  % (result.m, N))
-        if label is not None:
-            out.write("== %s ==\n" % label)
-        out.write("m: %d\n" % result.m)
-        out.write("order: %d\n" % result.order)
-        out.write("epsilon: %s\n" % _fmt(result.epsilon, expr.form.ring))
-        out.write("residual_valuation: %s\n" % result.residual_valuation)
-    return 0
+        return ["m: %d" % result.m, "order: %d" % result.order,
+                "epsilon: %s" % _fmt(result.epsilon, expr.form.ring),
+                "residual_valuation: %s" % result.residual_valuation]
+    return _each(args, out, view)
 
 
 def _cmd_holonomy(args, out):
     if args.formal == args.numeric:
         raise InputError("holonomy needs exactly one of --formal "
                          "or --numeric")
+    for name in ("expr", "input", "samples") if args.formal else ("m",):
+        if getattr(args, name) is not None:
+            raise InputError("holonomy --%s reads no --%s" % (
+                "formal" if args.formal else "numeric", name))
     if args.formal:
         if args.m is None or args.m < 2:
             raise InputError("--formal needs --m >= 2")
         N = _order(args)
-        bits = _env_int("FF_PRECISION")
-        ring = ComplexApprox() if bits is None else ComplexApprox(bits)
+        ring = _ring_for_mode("float", _env_int("FF_PRECISION"))
         h = pd_holonomy_model(args.m, 24 if N is None else N, ring)
         out.write("multiplier: %s\n" % _fmt(h.multiplier, h.ring))
         out.write("series: %s\n" % h.format())
@@ -292,26 +294,22 @@ def _cmd_holonomy(args, out):
     except OverflowError:
         raise InputError("--center %s is too large for a float"
                          % args.center) from None
-    for label, text in _inputs(args):
-        expr = _parse(args, text)
-        if label is not None:
-            out.write("== %s ==\n" % label)
+
+    def view(expr):
         ends = numeric_holonomy(expr.form, center, args.radius, samples)
-        for x0, end in zip(samples, ends):
-            out.write("%s -> %s\n" % (x0, mpmath.nstr(end, 12)))
-    return 0
+        return ["%s -> %s" % (x0, mpmath.nstr(end, 12))
+                for x0, end in zip(samples, ends)]
+    return _each(args, out, view)
 
 
 def _cmd_cs_index(args, out):
     at = _as_fraction(args.at, "--at")
-    for label, text in _inputs(args):
-        expr = _parse(args, text)
+
+    def view(expr):
         ring = expr.form.ring
         value = cs_index(dual(recenter(expr.form, ring.from_rational(at))))
-        if label is not None:
-            out.write("== %s ==\n" % label)
-        out.write("cs_index: %s\n" % _fmt(value, ring))
-    return 0
+        return ["cs_index: %s" % _fmt(value, ring)]
+    return _each(args, out, view)
 
 
 def _report_document(args, text):

@@ -112,14 +112,6 @@ def linear_part(field: PlaneVectorField) -> Matrix2:
     return (rows[0], rows[1])
 
 
-def matrix_is_zero(L: Matrix2, ring) -> bool:
-    return all(ring.is_zero(e) for row in L for e in row)
-
-
-def matrix_scale(L: Matrix2, value, ring) -> Matrix2:
-    return tuple(tuple(ring.mul(e, value) for e in row) for row in L)
-
-
 def normalized_jordan(L: Matrix2, ring) -> Matrix2:
     """Scale a lower-triangular matrix with equal diagonal to unit diagonal."""
     if not ring.is_zero(L[0][1]):
@@ -127,7 +119,7 @@ def normalized_jordan(L: Matrix2, ring) -> Matrix2:
     if not ring.eq(L[0][0], L[1][1]):
         raise MathError("expected equal diagonal entries")
     inv = ring.invert(L[0][0])
-    return matrix_scale(L, inv, ring)
+    return tuple(tuple(ring.mul(e, inv) for e in row) for row in L)
 
 
 def eigenvalues(L: Matrix2, ring):
@@ -182,7 +174,7 @@ def classify_singularity(L: Matrix2, ring) -> SingularityType:
     >= 2 nor its inverse, including a ratio-1 Jordan block, are tagged
     POSITIVE_RATIONAL: non-reduced but not a Poincare-Dulac candidate.
     """
-    if matrix_is_zero(L, ring):
+    if all(ring.is_zero(e) for row in L for e in row):
         return SingularityType(SingKind.NON_ELEMENTARY)
     (e00, e01), (e10, e11) = L
     scalar = (ring.is_zero(e01) and ring.is_zero(e10)

@@ -305,6 +305,44 @@ def test_cli_holonomy_formal():
     assert "multiplier:" in out and "series:" in out
 
 
+def test_cli_holonomy_formal_prints_the_multiplier_to_12_digits():
+    code, out, _ = run(["holonomy", "--formal", "--m", "5", "--order", "24"])
+    assert code == 0
+    assert out.splitlines()[0] == ("multiplier: (0.309016994375 + "
+                                   "0.951056516295j)")
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--formal", "--m", "2", "--expr", "dx"], "--expr"),
+    (["--formal", "--m", "2", "--input", "f"], "--input"),
+    (["--formal", "--m", "2", "--samples", "0.1"], "--samples"),
+    (["--numeric", "--m", "3", "--samples", "0.05", "--mode", "float",
+      "--expr", "x*dy - 2*y*dx - x^2*dx"], "--m")])
+def test_cli_holonomy_rejects_options_it_does_not_read(argv, unread):
+    code, out, err = run(["holonomy"] + argv)
+    assert (code, out) == (2, "")
+    assert err == "error[input]: holonomy %s reads no %s\n" % (argv[0],
+                                                                unread)
+
+
+@pytest.mark.parametrize("option", [["--order", "5"], ["--expr", "dx"],
+                                    ["--input", "f"]])
+def test_cli_gpd_has_no_expression_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gpd", "--p", "2", "--alpha", "-5/1"] + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(option) in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["--alpha", "-5"], ["--m", "2"]])
+@pytest.mark.parametrize("mode", ["bogus", "flaot"])
+def test_cli_gpd_unknown_mode_is_input_error(argv, mode):
+    code, out, err = run(["gpd", "--p", "2", "--mode", mode] + argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[input]: unknown mode %r" % mode)
+
+
 def test_cli_holonomy_numeric():
     code, out, _ = run(["holonomy", "--numeric", "--radius", "1.0",
                         "--samples", "0.05", "--mode", "float",
@@ -493,6 +531,33 @@ def test_input_file_and_directory(tmp_path):
     assert code == 0
     docs = json.loads(out)
     assert isinstance(docs, list) and len(docs) == 2
+
+
+@pytest.mark.parametrize("argv, good, bad", [
+    (["classify"], SADDLE_EXPR, "x*dx + y*dy"),
+    (["blowup", "--times", "2"], SADDLE_EXPR, "x*dx + y*dy"),
+    # the saddle's second chart-2 blow-up is at a nonsingular origin
+    (["blowup", "--times", "3", "--chart", "2"], "2*y*dx + x*dy",
+     SADDLE_EXPR),
+    (["normal-form"], SADDLE_EXPR, "d(y^2+x^3) + 4*x^2*dy"),
+    (["cs-index", "--at", "2"], "(2*y-y^2)*dx + x*(1+y)*dy",
+     "2*y*dx + x*dy"),
+    # the dx-coefficient of x*dy vanishes, so no transversal fibration
+    (["holonomy", "--numeric", "--samples", "0.05", "--mode", "float"],
+     "x*dy - 2*y*dx - x^2*dx", "x*dy")],
+    ids=["classify", "blowup", "blowup-chart-2", "normal-form", "cs-index",
+         "holonomy-numeric"])
+def test_failing_input_leaves_no_partial_block(tmp_path, argv, good, bad):
+    """Each input's block is written once it is complete: the failing
+    second file exits 3 after the first file's block, with no header or
+    lines of its own."""
+    (tmp_path / "a.txt").write_text(good + "\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text(bad + "\n", encoding="utf-8")
+    code, block, _ = run(argv + ["--input", str(tmp_path / "a.txt")])
+    assert code == 0
+    code, out, err = run(argv + ["--input", str(tmp_path)])
+    assert (code, out) == (3, block)
+    assert err.startswith("error[math]: ")
 
 
 @pytest.mark.parametrize("layout", ["subdirectory", "file",

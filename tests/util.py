@@ -352,9 +352,8 @@ def chain_on_whole_form(omega_local, N):
     jordan = normalized_jordan(linear_part(dual(current)), ring)
     decisive = jordan[1][0]
     if not ring.is_zero(decisive):
-        return DichotomyResult(VERDICT_GPD, "chain", m, N, decisive=decisive)
-    return DichotomyResult(verdict_dicritical(N), "chain", m, N,
-                           decisive=decisive)
+        return DichotomyResult(VERDICT_GPD, m, decisive=decisive)
+    return DichotomyResult(verdict_dicritical(N), m, decisive=decisive)
 
 
 def dual_field(field: PlaneVectorField) -> OneForm2:
