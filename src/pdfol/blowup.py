@@ -12,9 +12,14 @@ in two charts.  For omega = a d(v1) + b d(v2):
 
 Both pull-backs acquire a common divisor power which is divided out; the
 exponent is the multiplicity nu of the form in the non-dicritical case
-and nu + 1 in the dicritical one.  Substitutions here are monomial, so
-they are carried out as exact exponent remaps rather than through the
-generic composition machinery.
+and nu + 1 in the dicritical one.
+
+Two kernels work on the coefficient dicts: ``_pull_back`` sends each key
+along v2 = v1^p z in one pass (chart 1 at p = 1) and divides by the
+divisor power, and ``_shift_z`` replaces z by z + z0 (``recenter``) or
+z - gamma*x (the shear of ``normal_form.to_fibered_field``), building the
+image's powers once per form.  Both give ``Series2.substitute``'s bits
+(floats up to z-degree 3, see ``_shift_z``).
 """
 
 from __future__ import annotations
@@ -24,22 +29,6 @@ from dataclasses import dataclass, replace
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .series import INF, Series1, Series2
-
-
-def _remap(series: Series2, image, variables, order) -> Series2:
-    """The series with each key sent through ``image``, cut at ``order``.
-    The coefficients are valid ring elements already, so they are kept
-    as they are; a key cut off makes the result truncated."""
-    acc = {}
-    dropped = series.truncated
-    for key, c in series.coeffs.items():
-        key = image(key)
-        if key[0] + key[1] > order:
-            dropped = True
-        else:
-            acc[key] = c
-    return Series2._raw(series.ring, Series2._checked_names(variables), order,
-                        acc, dropped)
 
 
 def _exact(omega: OneForm2) -> bool:
@@ -62,14 +51,38 @@ class BlowupResult:
         return self.form if self.divisor_index == 0 else self.form.swapped()
 
 
-def _divisor_power(a_new, b_new, chart) -> int:
-    """The largest power of the divisor variable {first = 0} dividing both
-    coefficients; PrecisionError when the form vanishes to its order."""
-    k = min(a_new.min_exponent(0), b_new.min_exponent(0))
+def _pull_back(omega: OneForm2, p: int, zname: str, chart: str):
+    """The pull-back of omega along v2 = v1^p z in (v1, zname) divided by
+    the largest power x^k, and k; cut at (p + 1) times the form's order on
+    exact data, else at that order, a key cut off flagging truncation."""
+    ring = omega.ring
+    variables = Series2._checked_names((omega.variables[0], zname))
+    order = (p + 1) * omega.order if _exact(omega) else omega.order
+    a, b = omega.a, omega.b
+    acc = {(i + p * j, j): c for (i, j), c in a.coeffs.items()
+           if i + (p + 1) * j <= order}
+    # b dv2 = x^p b (dz + p z/x dx): a key (i, j) of x^p b also gives p at
+    # (i - 1, j + 1) in the dx-coefficient, of the same degree
+    xb = {(i + p * j + p, j): c for (i, j), c in b.coeffs.items()
+          if i + (p + 1) * j + p <= order}
+    b_cut = b.truncated or len(xb) < len(b.coeffs)
+    a_cut = a.truncated or len(acc) < len(a.coeffs) or b_cut
+    scale = ring.coerce(p) if p > 1 else None
+    for (i, j), c in xb.items():
+        if scale is not None:  # multiplying by 1 is exact
+            c = ring.mul(c, scale)
+            if ring.is_zero(c):
+                continue
+        key = (i - 1, j + 1)
+        acc[key] = ring.add(acc[key], c) if key in acc else c
+    acc = {key: c for key, c in acc.items() if not ring.is_zero(c)}
+    k = min((key[0] for keys in (acc, xb) for key in keys), default=INF)
     if k == INF:
         raise PrecisionError("%s: the pulled-back form vanishes to order %d"
-                             % (chart, a_new.order))
-    return k
+                             % (chart, order))
+    a, b = ({(i - k, j): c for (i, j), c in part.items()} for part in (acc, xb))
+    return OneForm2(Series2._raw(ring, variables, order - k, a, a_cut),
+                    Series2._raw(ring, variables, order - k, b, b_cut)), k
 
 
 def _chart1(omega: OneForm2, zname: str, chart: str) -> BlowupResult:
@@ -81,14 +94,7 @@ def _chart1(omega: OneForm2, zname: str, chart: str) -> BlowupResult:
     if not singular_at_origin(omega):
         raise MathError("blow-up requested at a nonsingular origin")
     nu = omega.valuation()
-    order = 2 * omega.order if _exact(omega) else omega.order
-    variables = (v1, zname)
-    a1 = _remap(omega.a, lambda ij: (ij[0] + ij[1], ij[1]), variables, order)
-    zb1 = _remap(omega.b, lambda ij: (ij[0] + ij[1], ij[1] + 1), variables, order)
-    xb1 = _remap(omega.b, lambda ij: (ij[0] + ij[1] + 1, ij[1]), variables, order)
-    a_new = a1 + zb1
-    k = _divisor_power(a_new, xb1, chart)
-    form = OneForm2(a_new.divide_monomial((k, 0)), xb1.divide_monomial((k, 0)))
+    form, k = _pull_back(omega, 1, zname, chart)
     dicritical = not form.divisor_invariant()
     if _exact(form) and k != nu + (1 if dicritical else 0):
         raise MathError("inconsistent divisor multiplicity in blow-up")
@@ -114,29 +120,44 @@ def macro_chart1(omega: OneForm2, p: int):
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    v1 = omega.variables[0]
-    variables = (v1, "z")
-    order = (p + 1) * omega.order if _exact(omega) else omega.order
-    ring = omega.ring
-    # dv2 = p x^(p-1) z dx + x^p dz
-    a_part = _remap(omega.a, lambda ij: (ij[0] + p * ij[1], ij[1]),
-                    variables, order)
-    zb = _remap(omega.b, lambda ij: (ij[0] + p * ij[1] + p - 1, ij[1] + 1),
-                variables, order).scale(ring.coerce(p))
-    xb = _remap(omega.b, lambda ij: (ij[0] + p * ij[1] + p, ij[1]),
-                variables, order)
-    a_new = a_part + zb
-    b_new = xb
-    k = _divisor_power(a_new, b_new, "one-shot chart1 of %d blow-ups" % p)
-    a_new = a_new.divide_monomial((k, 0))
-    b_new = b_new.divide_monomial((k, 0))
-    return OneForm2(a_new, b_new), k
+    return _pull_back(omega, p, "z", "one-shot chart1 of %d blow-ups" % p)
+
+
+def _shift_z(parts, image: Series2):
+    """Each series s of ``parts`` at (x, image): one ``combine`` of the
+    terms ((i, 0), c, P_j) in s's key order, cut at min(s.order, image
+    order), keeping a term iff i + j*v <= that order, v the image's
+    valuation.  ``Series2.substitute`` makes the same products while the
+    z-exponents read lie in {0, 1, 2, 3}; above z-degree 3, with gaps in
+    them, its power ladder differs and the float ring's last bits may
+    too.  The caller refuses truncated data when v = 0."""
+    ring = image.ring
+    v = image.valuation()
+    powers = [image._like(image.order, {(0, 0): ring.coerce(1)}, False), image]
+    out = []
+    for s in parts:
+        order = min(s.order, image.order)
+        terms, dropped = [], s.truncated or image.truncated
+        for (i, j), c in s.coeffs.items():
+            if i + j * v > order:
+                dropped = True
+                continue
+            while len(powers) <= j:
+                powers.append(powers[-1] * image)
+            dropped = dropped or powers[j].truncated
+            terms.append(((i, 0), c, powers[j].coeffs))
+        acc, cut = ring.combine(terms, order, Series2._degree,
+                                Series2._add_keys)
+        out.append(Series2._raw(ring, s.variables, order, acc, dropped or cut))
+    return out
 
 
 def recenter(omega: OneForm2, z0) -> OneForm2:
     """Translate the second variable so the point (0, z0) moves to the
     origin, the only point ``forms.linear_part``, ``forms.cs_index`` and
-    ``forms.report_at`` read.  Exact on polynomial data; raises
+    ``forms.report_at`` read: one ``_shift_z`` of both coefficients, bit
+    for bit ``Series2.substitute``'s up to z-degree 3 (the chain's forms
+    have z-degree <= 2 in a, <= 1 in b).  Exact on polynomial data; raises
     PrecisionError, naming z0 and the order, on truncated series, whose
     translated low-order coefficients would be unreliable."""
     ring = omega.ring
@@ -144,13 +165,12 @@ def recenter(omega: OneForm2, z0) -> OneForm2:
     if ring.is_zero(z0):
         return omega
     order = omega.order
-    ex = Series2(ring, omega.variables, order, {(1, 0): 1})
-    ey = Series2(ring, omega.variables, order, {(0, 1): 1, (0, 0): z0})
-    try:
-        return OneForm2(omega.a.substitute(ex, ey), omega.b.substitute(ex, ey))
-    except PrecisionError as exc:
-        raise PrecisionError("recenter at z = %s, order %d: %s"
-                             % (ring.format_coeff(z0), order, exc)) from exc
+    if not _exact(omega):
+        raise PrecisionError("recenter at z = %s, order %d: substituting a "
+                             "valuation-0 series into a truncated series"
+                             % (ring.format_coeff(z0), order))
+    image = Series2(ring, omega.variables, order, {(0, 1): 1, (0, 0): z0})
+    return OneForm2(*_shift_z((omega.a, omega.b), image))
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,14 @@ def _parser() -> argparse.ArgumentParser:
                    help="reduce, then eliminate nonresonant terms "
                    "degree by degree")
 
-    hol = sub.add_parser("holonomy", parents=[shared, mode],
+    hol = sub.add_parser("holonomy", parents=[shared],
                          help="formal model or numeric loop transport")
+    hol.add_argument("--mode", help="exact | float | param:NAME")
     hol.add_argument("--formal", action="store_true")
     hol.add_argument("--numeric", action="store_true")
     hol.add_argument("--m", type=int)
-    hol.add_argument("--radius", type=float, default=1.0)
-    hol.add_argument("--center", default="0")
+    hol.add_argument("--radius", type=float)
+    hol.add_argument("--center")
     hol.add_argument("--samples", help="comma-separated start points")
 
     csi = sub.add_parser("cs-index", parents=[shared, mode],
@@ -150,7 +151,8 @@ def _read(path):
 
 def _parse(args, text):
     order = _order(args)
-    return parse_expr(text, args.mode, 24 if order is None else order,
+    mode = "exact" if args.mode is None else args.mode
+    return parse_expr(text, mode, 24 if order is None else order,
                       precision=_env_int("FF_PRECISION"))
 
 
@@ -223,8 +225,8 @@ def _cmd_gpd(args, out):
     if args.m is not None:
         value, irrational = gpd_condition(args.p, args.m)
         if irrational and args.mode != "float":
-            raise MathError("alpha irrational in exact mode (float approx "
-                            "%s)" % mpmath.nstr(value, 12))
+            raise MathError("alpha irrational in %s mode (float approx %s)"
+                            % (args.mode, mpmath.nstr(value, 12)))
         out.write("alpha: %s\n" % (mpmath.nstr(value, 12) if irrational
                                    else format_rational(value)))
         out.write("irrational: %s\n" % irrational)
@@ -268,7 +270,8 @@ def _cmd_holonomy(args, out):
     if args.formal == args.numeric:
         raise InputError("holonomy needs exactly one of --formal "
                          "or --numeric")
-    for name in ("expr", "input", "samples") if args.formal else ("m",):
+    for name in (("expr", "input", "samples", "mode", "radius", "center")
+                 if args.formal else ("m",)):
         if getattr(args, name) is not None:
             raise InputError("holonomy --%s reads no --%s" % (
                 "formal" if args.formal else "numeric", name))
@@ -289,14 +292,16 @@ def _cmd_holonomy(args, out):
         raise InputError("--samples must be comma-separated numbers")
     if not samples:
         raise InputError("--samples must be comma-separated numbers")
+    radius = 1.0 if args.radius is None else args.radius
+    center = "0" if args.center is None else args.center
     try:
-        center = float(_as_fraction(args.center, "--center"))
+        center = float(_as_fraction(center, "--center"))
     except OverflowError:
         raise InputError("--center %s is too large for a float"
-                         % args.center) from None
+                         % center) from None
 
     def view(expr):
-        ends = numeric_holonomy(expr.form, center, args.radius, samples)
+        ends = numeric_holonomy(expr.form, center, radius, samples)
         return ["%s -> %s" % (x0, mpmath.nstr(end, 12))
                 for x0, end in zip(samples, ends)]
     return _each(args, out, view)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .blowup import _shift_z
 from .errors import MathError, PrecisionError
 from .forms import OneForm2
 from .rings import rational
@@ -65,9 +66,9 @@ def to_fibered_field(omega: OneForm2, m: int, order: int) -> FiberedField:
     B must be x*U with U a unit.  The degree <= 1 part of -A/U gives the
     singularity, the slope m and the shear z -> z - gamma*x that removes
     the x-linear term (divisor m - 1).  The shear is applied to A and B
-    at order + 1, as dividing by x costs one order: with u = B'/x the
-    sheared form's field has the tail a/u, a = gamma*B' - A' - m*z*u, and
-    both are divided by u(0,0)."""
+    in one ``blowup._shift_z`` at order + 1, as dividing by x costs one
+    order: with u = B'/x the sheared form's field has the tail a/u,
+    a = gamma*B' - A' - m*z*u, and both are divided by u(0,0)."""
     ring = omega.ring
     variables = omega.variables
     a_t = omega.a.truncate(order + 1)
@@ -85,11 +86,10 @@ def to_fibered_field(omega: OneForm2, m: int, order: int) -> FiberedField:
     q10 = q.coefficient(1, 0)
     if not ring.is_zero(q10):
         gamma = ring.mul(q10, ring.coerce(rational(1, m - 1)))
-        ex = Series2(ring, variables, order + 1, {(1, 0): 1})
-        ey = Series2(ring, variables, order + 1,
-                     {(0, 1): 1, (1, 0): ring.neg(gamma)})
-        b_t = b_t.substitute(ex, ey)
-        a_t = a_t.substitute(ex, ey) - b_t.scale(gamma)
+        image = Series2(ring, variables, order + 1,
+                        {(0, 1): 1, (1, 0): ring.neg(gamma)})
+        a_t, b_t = _shift_z((a_t, b_t), image)
+        a_t = a_t - b_t.scale(gamma)
     u = b_t.divide_monomial((1, 0))
     mzu = _times(u, order, [((i, j + 1), c, m)
                             for (i, j), c in u.coeffs.items()], u.truncated)

@@ -323,22 +323,38 @@ def test_complex_ring_blowup():
     assert abs(locs[0] - 0.5) < 1e-9 and abs(locs[1] - 2.0) < 1e-9
 
 
-def remap_by_constructor(series, image, variables, order):
-    """The chart remap through the Series2 constructor, which coerces and
-    zero-tests every coefficient and drops the keys past the order."""
-    return Series2(series.ring, variables, order,
-                   {image(key): c for key, c in series.coeffs.items()},
-                   truncated=series.truncated)
+def pull_back_by_constructor(omega, p, zname):
+    """The chart pull-back along v2 = v1^p z as the Series2 operations
+    that ``blowup._pull_back`` replaces: three key remaps through the
+    constructor, which coerces and zero-tests every coefficient and drops
+    the keys past the order, a scaling by p, a sum and two divisions by
+    the divisor power."""
+    exact = not (omega.a.truncated or omega.b.truncated)
+    order = (p + 1) * omega.order if exact else omega.order
+    variables = (omega.variables[0], zname)
+
+    def remap(s, image):
+        return Series2(s.ring, variables, order,
+                       {image(*key): c for key, c in s.coeffs.items()},
+                       truncated=s.truncated)
+
+    a = remap(omega.a, lambda i, j: (i + p * j, j))
+    zb = remap(omega.b, lambda i, j: (i + p * j + p - 1, j + 1)).scale(p)
+    xb = remap(omega.b, lambda i, j: (i + p * j + p, j))
+    a = a + zb
+    k = min(a.min_exponent(0), xb.min_exponent(0))
+    return OneForm2(a.divide_monomial((k, 0)), xb.divide_monomial((k, 0)))
 
 
 @pytest.mark.parametrize("ring", [QQ, ComplexApprox(), ParamPolyRing("b")],
                          ids=lambda ring: ring.name)
 @pytest.mark.parametrize("shape", ["exact", "flagged", "past_order"])
-def test_chart_remap_matches_constructor(monkeypatch, ring, shape):
-    """Both charts and the one-shot chart give the coefficients, in the same
-    order, the order and the truncated flag of the constructor path: on an
-    exact form, a form flagged truncated, and a truncated form whose
-    remapped keys pass the order (a truncated form keeps its order)."""
+def test_chart_remap_matches_constructor(ring, shape):
+    """Both charts and the one-shot chart at p = 1 and 2 give the
+    coefficients, in the same order, the order and the truncated flag of
+    the constructor path: on an exact form, a form flagged truncated, and
+    a truncated form whose remapped keys pass the order (a truncated form
+    keeps its order).  Scaling by 1 is exact, so chart 1 skips it."""
     c = ring.coerce(rational(-5, 3))
     if ring.name == "param":
         c = ring.mul(c, ring.add(ring.one, ring.generator))
@@ -348,22 +364,18 @@ def test_chart_remap_matches_constructor(monkeypatch, ring, shape):
     if shape != "exact":
         a = Series2(ring, a.variables, order, a.coeffs, truncated=True)
     omega = OneForm2(a, b)
-
-    def charts():
-        return [blowup_chart1(omega).form, blowup_chart2(omega).form,
-                macro_chart1(omega, 2)[0]]
-
-    got = charts()
-    monkeypatch.setattr(blowup, "_remap", remap_by_constructor)
-    want = charts()
+    got = [blowup_chart1(omega).form, blowup_chart2(omega).form.swapped(),
+           macro_chart1(omega, 1)[0], macro_chart1(omega, 2)[0]]
+    want = [pull_back_by_constructor(omega, 1, "z"),
+            pull_back_by_constructor(omega.swapped(), 1, "w"),
+            pull_back_by_constructor(omega, 1, "z"),
+            pull_back_by_constructor(omega, 2, "z")]
     for g, w in zip(got, want):
         for gs, ws in ((g.a, w.a), (g.b, w.b)):
             assert list(gs.coeffs.items()) == list(ws.coeffs.items())
             assert (gs.order, gs.truncated) == (ws.order, ws.truncated)
             assert gs.variables == ws.variables
     if shape == "past_order":
-        assert any(f.a.truncated for f in got)
-        assert not b.truncated
-        zb1 = blowup._remap(b, lambda ij: (ij[0] + ij[1], ij[1] + 1),
-                            ("x", "z"), order)
-        assert zb1.truncated and list(zb1.coeffs) == [(1, 2), (2, 1)]
+        assert all(f.a.truncated for f in got)
+        # b is exact, but the images of x^3*y and x*y^3 pass the order
+        assert not b.truncated and got[0].b.truncated

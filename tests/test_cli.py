@@ -210,6 +210,14 @@ def test_cli_gpd_irrational_exact_exits_3():
     assert "-4.24264" in out
 
 
+@pytest.mark.parametrize("mode", ["exact", "param:b"])
+def test_cli_gpd_irrational_names_the_mode(mode):
+    code, out, err = run(["gpd", "--p", "2", "--m", "2", "--mode", mode])
+    assert (code, out) == (3, "")
+    assert err == ("error[math]: alpha irrational in %s mode (float approx "
+                   "-4.24264068712)\n" % mode)
+
+
 def test_cli_classify_pipeline():
     code, out, _ = run(["classify", "--expr", SADDLE_EXPR,
                         "--order", "24", "--mode", "exact"])
@@ -317,7 +325,14 @@ def test_cli_holonomy_formal_prints_the_multiplier_to_12_digits():
     (["--formal", "--m", "2", "--input", "f"], "--input"),
     (["--formal", "--m", "2", "--samples", "0.1"], "--samples"),
     (["--numeric", "--m", "3", "--samples", "0.05", "--mode", "float",
-      "--expr", "x*dy - 2*y*dx - x^2*dx"], "--m")])
+      "--expr", "x*dy - 2*y*dx - x^2*dx"], "--m"),
+    # --formal always builds the float model: an explicit value of an
+    # option only --numeric reads is refused, even the default one
+    (["--formal", "--m", "2", "--mode", "exact"], "--mode"),
+    (["--formal", "--m", "2", "--radius", "5"], "--radius"),
+    (["--formal", "--m", "2", "--center", "1"], "--center"),
+    (["--formal", "--m", "2", "--mode", "float", "--radius", "1.0"],
+     "--mode")])
 def test_cli_holonomy_rejects_options_it_does_not_read(argv, unread):
     code, out, err = run(["holonomy"] + argv)
     assert (code, out) == (2, "")
@@ -341,6 +356,18 @@ def test_cli_gpd_unknown_mode_is_input_error(argv, mode):
     code, out, err = run(["gpd", "--p", "2", "--mode", mode] + argv)
     assert (code, out) == (2, "")
     assert err.startswith("error[input]: unknown mode %r" % mode)
+
+
+def test_cli_holonomy_numeric_defaults_are_exact_radius_1_center_0():
+    """--numeric without --mode, --radius and --center reads them as
+    exact, 1.0 and 0: the same exit, output and error as with them."""
+    field = ["--numeric", "--samples", "0.05", "--expr",
+             "x*dy - 2*y*dx - x^2*dx"]
+    given = ["--mode", "exact", "--radius", "1.0", "--center", "0"]
+    assert run(["holonomy"] + field) == run(["holonomy"] + field + given)
+    float_field = field + ["--mode", "float"]
+    assert (run(["holonomy"] + float_field)
+            == run(["holonomy"] + float_field + given[2:]))
 
 
 def test_cli_holonomy_numeric():
